@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .core import TargetKind, ZeroCountError, DIV_IV, DIV_JSD
 from .preprocess import PrebinTable, refine_prebins_multiclass
@@ -243,7 +243,7 @@ def pvalue_pairs(R_ne: TriMatrix, R_e: TriMatrix, alpha: float) -> PValuePairs:
     quantile for ``alpha`` two-sided, i.e. the rates are insufficiently
     separated (p-value above alpha).
     """
-    threshold = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    threshold = float(ndtri(1.0 - alpha / 2.0))
     n = R_e.shape[0]
     found = set()
     for i in range(n - 1):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
 import sys
 from dataclasses import replace
@@ -57,62 +58,94 @@ class _Parser(argparse.ArgumentParser):
 # input handling
 # --------------------------------------------------------------------------- #
 
-def _read_column(path: str, name: str) -> list:
-    """One named column from an RFC-4180 CSV file, as raw strings."""
+def _read_columns(path: str, names) -> list:
+    """The named columns of an RFC-4180 CSV file, as lists of raw strings.
+
+    The file is parsed once for all columns.  Blank lines are skipped.
+    """
+    # The rows are lists of strings and cannot form reference cycles, but
+    # each new list counts towards the cycle collector's thresholds: left
+    # on, its passes over the growing row list cost more than the parse.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError("cannot read {}: {}".format(path, exc)) from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not rows:
         raise InputError("{} is empty".format(path))
     header = rows[0]
-    if name not in header:
-        raise InputError("no column {!r} in {} (found: {})"
-                         .format(name, path, ", ".join(header)))
-    col = header.index(name)
-    out = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue            # blank line
-        if col >= len(row):
-            raise InputError("{} line {}: missing field {!r}"
-                             .format(path, i, name))
-        out.append(row[col])
-    return out
-
-
-def _infer_dtype(tokens, missing_token: str) -> str:
-    """Numeric when every non-missing token parses as a float."""
-    seen = False
-    for tok in tokens:
-        if tok == missing_token:
-            continue
-        seen = True
+    body = [row for row in rows[1:] if row]
+    columns = []
+    for name in names:
+        if name not in header:
+            raise InputError("no column {!r} in {} (found: {})"
+                             .format(name, path, ", ".join(header)))
+        col = header.index(name)
         try:
-            float(tok)
-        except ValueError:
-            return CATEGORICAL
-    if not seen:
+            columns.append([row[col] for row in body])
+        except IndexError:
+            line = next(i for i, row in enumerate(rows[1:], start=2)
+                        if row and col >= len(row))
+            raise InputError("{} line {}: missing field {!r}"
+                             .format(path, line, name)) from None
+    return columns
+
+
+def _floats(tokens):
+    """``tokens`` parsed as Python's ``float()`` parses them, or None when
+    one of them is not a number."""
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError:
+        return None
+
+
+def _first_row(tokens, bad) -> tuple:
+    """(1-based row, token) of the first token for which ``bad`` holds."""
+    return next((i, tok) for i, tok in enumerate(tokens, start=1) if bad(tok))
+
+
+def _not_float(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_variable(tokens, dtype: str, missing_token: str) -> tuple:
+    """The variable column as (values, dtype).
+
+    Numeric values are floats with NaN for missing (so a ``nan`` token is
+    missing too); categorical values are the raw strings with None for
+    missing.  ``auto`` picks numeric when every non-missing token parses as
+    a float.
+    """
+    if dtype == "auto" and tokens.count(missing_token) == len(tokens):
         raise InputError("variable column holds no non-missing values")
-    return NUMERIC
+    if dtype != CATEGORICAL:
+        values = _floats(["nan" if tok == missing_token else tok
+                          for tok in tokens])
+        if values is not None:
+            return values, NUMERIC
+        if dtype == NUMERIC:
+            row, tok = _first_row(
+                tokens, lambda t: t != missing_token and _not_float(t))
+            raise InputError(
+                "row {}: cannot parse {!r} as a number".format(row, tok))
+    values = np.array([None if tok == missing_token else tok
+                       for tok in tokens], dtype=object)
+    return values, CATEGORICAL
 
 
-def _parse_variable(tokens, dtype: str, missing_token: str) -> list:
-    out = []
-    for i, tok in enumerate(tokens, start=1):
-        if tok == missing_token:
-            out.append(None)
-        elif dtype == NUMERIC:
-            try:
-                out.append(float(tok))
-            except ValueError:
-                raise InputError(
-                    "row {}: cannot parse {!r} as a number".format(i, tok)
-                ) from None
-        else:
-            out.append(tok)
-    return out
+def _not_class_label(tok: str) -> bool:
+    v = float(tok)
+    return not math.isfinite(v) or v != int(v)
 
 
 def _parse_target(tokens, kind: TargetKind, missing_token: str):
@@ -121,49 +154,37 @@ def _parse_target(tokens, kind: TargetKind, missing_token: str):
     Multi-class targets are recoded to 0..K-1 in sorted label order, and the
     class count is inferred from the data.
     """
-    if any(tok == missing_token for tok in tokens):
-        bad = next(i for i, tok in enumerate(tokens, 1) if tok == missing_token)
-        raise InputError("row {}: target value is missing".format(bad))
+    if missing_token in tokens:
+        raise InputError("row {}: target value is missing"
+                         .format(tokens.index(missing_token) + 1))
+    y = _floats(tokens)
     if kind.is_binary:
-        out = []
-        for i, tok in enumerate(tokens, start=1):
-            try:
-                v = float(tok)
-            except ValueError:
-                v = None
-            if v not in (0.0, 1.0):
-                raise InputError(
-                    "row {}: binary target must be 0 or 1; got {!r}".format(i, tok))
-            out.append(int(v))
-        return out, kind
+        if y is None or not np.all((y == 0.0) | (y == 1.0)):
+            row, tok = _first_row(
+                tokens, lambda t: _not_float(t) or float(t) not in (0.0, 1.0))
+            raise InputError(
+                "row {}: binary target must be 0 or 1; got {!r}".format(row, tok))
+        return y.astype(np.int64), kind
     if kind.is_continuous:
-        out = []
-        for i, tok in enumerate(tokens, start=1):
-            try:
-                out.append(float(tok))
-            except ValueError:
-                raise InputError(
-                    "row {}: cannot parse target {!r} as a number".format(i, tok)
-                ) from None
-        return out, kind
-    labels = []
-    for i, tok in enumerate(tokens, start=1):
-        try:
-            v = float(tok)
-        except ValueError:
+        if y is None:
+            row, tok = _first_row(tokens, _not_float)
             raise InputError(
-                "row {}: cannot parse class label {!r}".format(i, tok)) from None
-        if v != int(v):
+                "row {}: cannot parse target {!r} as a number".format(row, tok))
+        return y, kind
+    if y is None or not np.all(np.isfinite(y) & (y == np.trunc(y))):
+        row, tok = _first_row(
+            tokens, lambda t: _not_float(t) or _not_class_label(t))
+        if _not_float(tok):
             raise InputError(
-                "row {}: class labels must be integers; got {!r}".format(i, tok))
-        labels.append(int(v))
-    classes = sorted(set(labels))
-    if len(classes) < 3:
+                "row {}: cannot parse class label {!r}".format(row, tok))
+        raise InputError(
+            "row {}: class labels must be integers; got {!r}".format(row, tok))
+    classes, codes = np.unique(y, return_inverse=True)
+    if classes.size < 3:
         raise InputError(
             "multiclass target has {} distinct labels; use a binary target"
-            .format(len(classes)))
-    code = {c: k for k, c in enumerate(classes)}
-    return [code[v] for v in labels], TargetKind.multiclass(len(classes))
+            .format(classes.size))
+    return codes, TargetKind.multiclass(int(classes.size))
 
 
 def _parse_specials(text: str | None, dtype: str) -> tuple:
@@ -201,7 +222,7 @@ def _pool_stats(ys, target_kind: TargetKind, ne_total: float,
     """
     count = len(ys)
     if target_kind.is_binary:
-        event = int(sum(ys))
+        event = int(np.sum(ys))
         nonevent = count - event
         rate = event / count if count else 0.0
         w = iv = js = 0.0
@@ -215,13 +236,13 @@ def _pool_stats(ys, target_kind: TargetKind, ne_total: float,
         return BinStats(count=count, nonevent=nonevent, event=event,
                         event_rate=rate, woe=w, iv_contrib=iv, js_contrib=js)
     if target_kind.is_continuous:
-        total = float(sum(ys))
+        # a left-to-right sum, as np.bincount gives the pre-bin totals;
+        # np.sum's pairwise order could change the last bits
+        total = float(sum(ys.tolist()))
         return BinStats(count=count, sum=total,
                         mean=total / count if count else 0.0)
-    counts = [0] * target_kind.n_classes
-    for y in ys:
-        counts[int(y)] += 1
-    return BinStats(count=count, class_counts=tuple(counts))
+    counts = np.bincount(ys, minlength=target_kind.n_classes)
+    return BinStats(count=count, class_counts=tuple(counts.tolist()))
 
 
 def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
@@ -234,12 +255,12 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     validate_config(cfg)
     (xc, yc), (xs, ys_special), (xm, ys_missing) = \
         preprocess.split_missing_special(values, target, cfg.special_values)
-    if not xc:
+    if not len(xc):
         raise DegenerateColumnError(
             "no records left after routing special and missing values")
 
     others: tuple = ()
-    ys_others: list = []
+    ys_others = yc[:0]
     if dtype == NUMERIC:
         splits = preprocess.prebin_numeric(xc, cfg.prebin_count,
                                            cfg.prebin_min_frac)
@@ -249,12 +270,13 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
         cats, others = preprocess.prebin_categorical(
             xc, yc, cfg.cat_others_cutoff, target_kind)
         pooled = set(others)
-        kept = [(x, y) for x, y in zip(xc, yc) if str(x) not in pooled]
-        ys_others = [y for x, y in zip(xc, yc) if str(x) in pooled]
-        if not kept:
+        labels, codes = preprocess.label_codes(xc)
+        in_pool = np.array([str(v) in pooled for v in labels], dtype=bool)[codes]
+        ys_others = yc[in_pool]
+        if in_pool.all():
             raise DegenerateColumnError("every category fell into the others pool")
         table = preprocess.build_prebin_table(
-            [x for x, _ in kept], [y for _, y in kept], target_kind,
+            xc[~in_pool], yc[~in_pool], target_kind,
             groups=tuple((c,) for c in cats))
 
     if target_kind.is_binary:
@@ -288,7 +310,8 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     # many records sit outside the optimization.
     ne_total = e_total = 0.0
     if target_kind.is_binary:
-        out_events = sum(ys_special) + sum(ys_missing) + sum(ys_others)
+        out_events = int(np.sum(ys_special) + np.sum(ys_missing)
+                         + np.sum(ys_others))
         out_count = len(ys_special) + len(ys_missing) + len(ys_others)
         e_total = float(np.sum(table.event)) + out_events
         ne_total = float(np.sum(table.nonevent)) + (out_count - out_events)
@@ -383,49 +406,87 @@ def _row_labels(model: BinningModel) -> list:
     return labels
 
 
-def transform_value(model: BinningModel, v, mode: str):
-    """Map one raw value through the fitted binning.
+def _resolve_mode(model: BinningModel, mode: str) -> str:
+    kind = model.target_kind.kind
+    if mode == "auto":
+        mode = {"binary": "woe", "continuous": "mean",
+                "multiclass": "index"}[kind]
+    allowed = {"binary": ("woe", "index"), "continuous": ("mean", "index"),
+               "multiclass": ("index",)}[kind]
+    if mode not in allowed:
+        raise InputError("mode {!r} not available for a {} target (use {})"
+                         .format(mode, kind, " or ".join(allowed)))
+    return mode
+
+
+def _n_bins(model: BinningModel) -> int:
+    return len(model.splits) + 1 if model.dtype == NUMERIC else len(model.groups)
+
+
+def _row_outputs(model: BinningModel, mode: str) -> list:
+    """The transform output of each table row, in ``_row_labels`` order."""
+    m = _n_bins(model)
+    pools = [model.others_value] if model.others else []
+    pools += [model.special_value, model.missing_value]
+    if mode == "index":
+        return list(range(m + len(pools)))
+    if len(model.transform_values) != m:
+        raise InputError("model has {} transform values for {} bins"
+                         .format(len(model.transform_values), m))
+    return [*model.transform_values, *pools]
+
+
+def _table_rows(model: BinningModel, values) -> np.ndarray:
+    """Each value's row in the binning table: optimized bins first, then
+    Others (categorical models with a pool), then Special, then Missing."""
+    m = _n_bins(model)
+    row_others = m
+    row_special = m + (1 if model.others else 0)
+    row_missing = row_special + 1
+    specials = model.config.special_values
+    if model.dtype == NUMERIC:
+        x = np.asarray(values, dtype=float)
+        rows = np.searchsorted(np.asarray(model.splits, dtype=float), x,
+                               side="right")
+        rows[np.isin(x, np.asarray(specials, dtype=float))] = row_special
+        rows[np.isnan(x)] = row_missing
+        return rows
+    group_of = {}
+    for k, group in enumerate(model.groups):
+        for label in group:
+            group_of.setdefault(label, k)
+    labels, codes = preprocess.label_codes(values)
+    label_rows = []
+    for v in labels:                  # in order of first appearance
+        label = str(v)
+        if v is None or v != v:       # None or NaN, as in split_missing_special
+            label_rows.append(row_missing)
+        elif label in specials:
+            label_rows.append(row_special)
+        elif label in group_of:
+            label_rows.append(group_of[label])
+        elif model.others:
+            # unseen categories are rare by definition: route to the pool
+            label_rows.append(row_others)
+        else:
+            raise InputError("unknown category {!r} and the model has no "
+                             "others pool".format(label))
+    return np.array(label_rows, dtype=np.intp)[codes]
+
+
+def transform_values(model: BinningModel, values, mode: str = "auto"):
+    """Map raw values through the fitted binning, as one array.
 
     Index mode numbers the table rows: optimized bins first, then Others
     (categorical models with a pool), then Special, then Missing.
     """
-    m = len(model.transform_values) or len(model.bins)
-    has_others = bool(model.others)
-    idx_others = m
-    idx_special = m + (1 if has_others else 0)
-    idx_missing = idx_special + 1
-
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return idx_missing if mode == "index" else model.missing_value
-    if model.dtype == NUMERIC:
-        if v in model.config.special_values:
-            return idx_special if mode == "index" else model.special_value
-        k = int(np.searchsorted(np.asarray(model.splits), v, side="right"))
-        return k if mode == "index" else model.transform_values[k]
-    label = str(v)
-    if label in model.config.special_values:
-        return idx_special if mode == "index" else model.special_value
-    for k, group in enumerate(model.groups):
-        if label in group:
-            return k if mode == "index" else model.transform_values[k]
-    if model.others:
-        # unseen categories are rare by definition: route to the pool
-        return idx_others if mode == "index" else model.others_value
-    raise InputError("unknown category {!r} and the model has no others pool"
-                     .format(label))
+    outputs = _row_outputs(model, _resolve_mode(model, mode))
+    return np.take(np.asarray(outputs), _table_rows(model, values))
 
 
-def transform_values(model: BinningModel, values, mode: str = "auto") -> list:
-    if mode == "auto":
-        mode = {"binary": "woe", "continuous": "mean",
-                "multiclass": "index"}[model.target_kind.kind]
-    allowed = {"binary": ("woe", "index"), "continuous": ("mean", "index"),
-               "multiclass": ("index",)}[model.target_kind.kind]
-    if mode not in allowed:
-        raise InputError("mode {!r} not available for a {} target (use {})"
-                         .format(mode, model.target_kind.kind,
-                                 " or ".join(allowed)))
-    return [transform_value(model, v, mode) for v in values]
+def transform_value(model: BinningModel, v, mode: str):
+    """Map one raw value through the fitted binning."""
+    return transform_values(model, [v], mode).tolist()[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -506,12 +567,8 @@ def render_quality(model: BinningModel) -> str:
 # --------------------------------------------------------------------------- #
 
 def cmd_fit(args) -> int:
-    raw = _read_column(args.data, args.variable)
-    raw_target = _read_column(args.data, args.target)
-    dtype = args.dtype
-    if dtype == "auto":
-        dtype = _infer_dtype(raw, args.missing_token)
-    values = _parse_variable(raw, dtype, args.missing_token)
+    raw, raw_target = _read_columns(args.data, [args.variable, args.target])
+    values, dtype = _parse_variable(raw, args.dtype, args.missing_token)
     kind = {"binary": TargetKind.binary(),
             "continuous": TargetKind.continuous(),
             "multiclass": TargetKind(kind="multiclass", n_classes=0)}[
@@ -554,11 +611,14 @@ def _load_model(path: str) -> BinningModel:
 def cmd_transform(args) -> int:
     model = _load_model(args.model)
     variable = args.variable or model.variable
-    raw = _read_column(args.data, variable)
-    values = _parse_variable(raw, model.dtype, args.missing_token)
-    out = transform_values(model, values, args.mode)
-    text = "\n".join(str(v) if isinstance(v, int) else "{:.6f}".format(v)
-                     for v in out)
+    [raw] = _read_columns(args.data, [variable])
+    values, _ = _parse_variable(raw, model.dtype, args.missing_token)
+    mode = _resolve_mode(model, args.mode)
+    rows = transform_values(model, values, "index")
+    # each distinct output line is rendered once and looked up by row
+    lines = np.array([str(v) if isinstance(v, int) else "{:.6f}".format(v)
+                      for v in _row_outputs(model, mode)], dtype=object)
+    text = "\n".join(np.take(lines, rows).tolist())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -451,7 +451,7 @@ class BinningModel:
             s["class_counts"] = tuple(s.get("class_counts", ()))
             return BinStats(**s)
 
-        return cls(
+        model = cls(
             variable=d["variable"],
             dtype=d["dtype"],
             target_kind=tk,
@@ -471,6 +471,33 @@ class BinningModel:
             trend_used=d["trend_used"],
             config=cfg,
         )
+        model._check_bins()
+        return model
+
+    def _check_bins(self) -> None:
+        """Raise InputError unless splits or groups, per-bin statistics and
+        transform values describe the same bins.
+
+        ``bins`` may be empty: a model built by hand can carry no per-bin
+        statistics.  Multi-class models have no transform values.
+        """
+        if self.dtype == "numeric":
+            what, parts, n = "splits", self.splits, len(self.splits) + 1
+            if any(not a < b for a, b in zip(parts, parts[1:])):
+                raise InputError("malformed model file: splits are not "
+                                 "strictly ascending")
+        elif self.dtype == "categorical":
+            what, parts, n = "groups", self.groups, len(self.groups)
+        else:
+            raise InputError("malformed model file: unknown dtype {!r}"
+                             .format(self.dtype))
+        if self.bins and len(self.bins) != n:
+            raise InputError("malformed model file: {} {} for {} bins"
+                             .format(len(parts), what, len(self.bins)))
+        if not self.target_kind.is_multiclass and \
+                len(self.transform_values) != n:
+            raise InputError("malformed model file: {} transform values for "
+                             "{} bins".format(len(self.transform_values), n))
 
     @classmethod
     def from_json(cls, text: str) -> "BinningModel":

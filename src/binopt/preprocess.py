@@ -23,12 +23,22 @@ from .core import (
 )
 
 
-def _is_missing(v) -> bool:
-    if v is None:
-        return True
-    if isinstance(v, float) and math.isnan(v):
-        return True
-    return False
+def _column(values) -> np.ndarray:
+    """``values`` as a float array when numeric, else as an object array."""
+    x = np.asarray(values)
+    if x.dtype.kind in "fiub":
+        return x.astype(float, copy=False)
+    return x if x.dtype == object else np.asarray(values, dtype=object)
+
+
+def label_codes(values):
+    """The distinct values in order of first appearance, and each record's
+    position among them."""
+    labels = list(dict.fromkeys(values))
+    position = {v: k for k, v in enumerate(labels)}
+    codes = np.fromiter(map(position.__getitem__, values), dtype=np.intp,
+                        count=len(values))
+    return labels, codes
 
 
 def split_missing_special(values, target, special_values=()):
@@ -36,22 +46,24 @@ def split_missing_special(values, target, special_values=()):
 
     ``values`` may be numeric or object (categorical); ``target`` is numeric.
     Returns ((x_clean, y_clean), (x_special, y_special), (x_missing, y_missing))
-    with positional pairing preserved.  A record is missing when its value is
-    None or NaN; special when it equals a member of ``special_values``.
+    as arrays, with positional pairing preserved.  A record is missing when
+    its value is None or NaN; special when it equals a member of
+    ``special_values``.
     """
-    specials = set(special_values)
-    x_c, y_c, x_s, y_s, x_m, y_m = [], [], [], [], [], []
-    for v, t in zip(values, target):
-        if _is_missing(v):
-            x_m.append(v)
-            y_m.append(t)
-        elif v in specials:
-            x_s.append(v)
-            y_s.append(t)
-        else:
-            x_c.append(v)
-            y_c.append(t)
-    return (x_c, y_c), (x_s, y_s), (x_m, y_m)
+    x = _column(values)
+    y = np.asarray(target)
+    if x.dtype == object:
+        missing = np.equal(x, None) | np.not_equal(x, x)   # None or NaN
+        special = np.zeros(x.size, dtype=bool)
+        for s in special_values:
+            special |= np.equal(x, s)
+    else:
+        missing = np.isnan(x)
+        special = np.isin(x, np.asarray(special_values, dtype=float))
+    special &= ~missing
+    clean = ~(missing | special)
+    return (x[clean], y[clean]), (x[special], y[special]), \
+        (x[missing], y[missing])
 
 
 # --------------------------------------------------------------------------- #
@@ -86,16 +98,28 @@ def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05
     splits = splits[(splits > distinct[0]) & (splits <= distinct[-1])]
 
     min_count = max(1, math.ceil(prebin_min_frac * x.size))
-    while splits.size:
-        idx = np.searchsorted(splits, x, side="right")
-        counts = np.bincount(idx, minlength=splits.size + 1)
-        small = np.flatnonzero(counts < min_count)
-        if small.size == 0:
+    counts = np.bincount(np.searchsorted(splits, x, side="right"),
+                         minlength=splits.size + 1)
+    return tuple(_merge_small(splits, counts, min_count).tolist())
+
+
+def _merge_small(splits, counts, min_count: int) -> np.ndarray:
+    """Drop splits until every pre-bin holds at least ``min_count`` records.
+
+    ``counts`` are the per-pre-bin record counts under ``splits``.  The
+    leftmost undersized pre-bin loses the split on its right (the last
+    pre-bin the one on its left), which adds its count to its neighbour's,
+    so no record is looked at again.
+    """
+    splits, counts = list(splits), counts.tolist()
+    while splits:
+        small = next((i for i, c in enumerate(counts) if c < min_count), None)
+        if small is None:
             break
-        i = int(small[0])
-        drop = i if i < splits.size else splits.size - 1
-        splits = np.delete(splits, drop)
-    return tuple(float(s) for s in splits)
+        drop = min(small, len(splits) - 1)
+        del splits[drop]
+        counts[drop] += counts.pop(drop + 1)
+    return np.asarray(splits, dtype=float)
 
 
 def prebin_categorical(values, target, cutoff: float = 0.0,
@@ -110,23 +134,21 @@ def prebin_categorical(values, target, cutoff: float = 0.0,
     n_total = len(values)
     if n_total == 0:
         raise DegenerateColumnError("no clean records to pre-bin")
-    sums = {}
-    counts = {}
-    for v, t in zip(values, target):
-        counts[v] = counts.get(v, 0) + 1
-        sums[v] = sums.get(v, 0.0) + float(t)
-    if len(counts) <= 1:
+    labels, codes = label_codes(values)
+    if len(labels) <= 1:
         raise DegenerateColumnError(
-            "column has a single distinct category {!r}".format(
-                next(iter(counts)) if counts else None)
-        )
-    others = sorted(str(c) for c in counts if counts[c] < cutoff * n_total)
+            "column has a single distinct category {!r}".format(labels[0]))
+    counts = np.bincount(codes).tolist()
+    # np.bincount adds the weights in record order, as a running sum would
+    sums = np.bincount(codes, weights=np.asarray(target, dtype=float)).tolist()
+    others = sorted(str(c) for c, n in zip(labels, counts)
+                    if n < cutoff * n_total)
     others_set = set(others)
-    kept = [c for c in counts if str(c) not in others_set]
+    kept = [k for k, c in enumerate(labels) if str(c) not in others_set]
     if not kept:
         raise DegenerateColumnError("every category fell below the others cutoff")
-    kept.sort(key=lambda c: (sums[c] / counts[c], str(c)))
-    return tuple(str(c) for c in kept), tuple(others)
+    kept.sort(key=lambda k: (sums[k] / counts[k], str(labels[k])))
+    return tuple(str(labels[k]) for k in kept), tuple(others)
 
 
 # --------------------------------------------------------------------------- #
@@ -186,7 +208,8 @@ def build_prebin_table(values, target, target_kind: TargetKind, *,
         for g, labels in enumerate(groups):
             for lab in labels:
                 pos[str(lab)] = g
-        idx = np.array([pos[str(v)] for v in values], dtype=np.intp)
+        distinct, codes = label_codes(values)
+        idx = np.array([pos[str(v)] for v in distinct], dtype=np.intp)[codes]
         n = len(groups)
         kept_groups = tuple(tuple(g) for g in groups)
         kept_splits = ()
@@ -194,15 +217,11 @@ def build_prebin_table(values, target, target_kind: TargetKind, *,
         s = np.asarray(sorted(splits or ()), dtype=float)
         x = np.asarray(values, dtype=float)
         idx = np.searchsorted(s, x, side="right")
-        n = s.size + 1
-        counts = np.bincount(idx, minlength=n)
-        while np.any(counts == 0):
-            empty = int(np.flatnonzero(counts == 0)[0])
-            s = np.delete(s, empty if empty < s.size else s.size - 1)
-            idx = np.searchsorted(s, x, side="right")
-            n = s.size + 1
-            counts = np.bincount(idx, minlength=n)
-        kept_splits = tuple(float(v) for v in s)
+        kept = _merge_small(s, np.bincount(idx, minlength=s.size + 1), 1)
+        if kept.size < s.size:
+            idx = np.searchsorted(kept, x, side="right")
+        n = kept.size + 1
+        kept_splits = tuple(kept.tolist())
         kept_groups = ()
 
     count = np.bincount(idx, minlength=n).astype(np.int64)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
+from scipy.special import ndtr
 
 from .aggregate import _pooled_zstat
 
@@ -70,7 +70,7 @@ def adjacent_pvalues(nonevents, events) -> tuple:
     out = []
     for i in range(len(events) - 1):
         z = _pooled_zstat(events[i], nonevents[i], events[i + 1], nonevents[i + 1])
-        out.append(float(2.0 * (1.0 - stats.norm.cdf(abs(z)))))
+        out.append(float(2.0 * (1.0 - ndtr(abs(z)))))
     return tuple(out)
 
 

@@ -1,12 +1,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from binopt import BinningConfig, BinningModel, InputError, TargetKind
 from binopt import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 # --------------------------------------------------------------------------- #
@@ -192,6 +198,23 @@ class TestFit:
         assert json.loads(out)["missing"]["count"] == 10
 
 
+    def test_nan_token_is_missing(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        rows = []
+        for i in range(200):
+            x = ("nan", "NaN", "")[i % 3] if i % 25 == 0 else \
+                "{:.2f}".format(rng.uniform(0, 10))
+            rows.append([x, int(rng.random() < 0.4)])
+        data = _write_csv(tmp_path / "nan.csv", ["v", "t"], rows)
+        code, out, _ = run(capsys, [
+            "fit", "--data", data, "--variable", "v", "--target", "t",
+            "--format", "json"])
+        assert code == 0
+        model = json.loads(out)
+        assert model["dtype"] == "numeric"
+        assert model["missing"]["count"] == 8
+
+
 class TestFitExitCodes:
     def test_infeasible_is_2(self, binary_csv, capsys):
         code, _, err = run(capsys, [
@@ -267,6 +290,63 @@ class TestFitExitCodes:
         code, _, _ = run(capsys, [
             "fit", "--data", str(path), "--variable", "x", "--target", "y"])
         assert code == 0
+
+    # Row numbers count data rows (blank lines skipped); line numbers count
+    # CSV records from the header, blank ones included.
+    _ROWS = "x,y\n1.5,0\n\n2.5,1\n{x},{y}\n4.5,1\n"
+
+    @pytest.mark.parametrize("x, y, flags, message", [
+        ("abc", "0", ["--dtype", "numeric"],
+         "row 3: cannot parse 'abc' as a number"),
+        ("3.5", "7", [], "row 3: binary target must be 0 or 1; got '7'"),
+        ("3.5", "nan", [], "row 3: binary target must be 0 or 1; got 'nan'"),
+        ("3.5", "", [], "row 3: target value is missing"),
+        ("3.5", "x", ["--target-kind", "continuous"],
+         "row 3: cannot parse target 'x' as a number"),
+        ("3.5", "x", ["--target-kind", "multiclass"],
+         "row 3: cannot parse class label 'x'"),
+        ("3.5", "1.5", ["--target-kind", "multiclass"],
+         "row 3: class labels must be integers; got '1.5'"),
+        ("3.5", "nan", ["--target-kind", "multiclass"],
+         "row 3: class labels must be integers; got 'nan'"),
+        ("3.5", "inf", ["--target-kind", "multiclass"],
+         "row 3: class labels must be integers; got 'inf'"),
+    ])
+    def test_parse_errors_name_the_row(self, tmp_path, capsys, x, y, flags,
+                                       message):
+        path = tmp_path / "bad.csv"
+        path.write_text(self._ROWS.format(x=x, y=y))
+        code, _, err = run(capsys, [
+            "fit", "--data", str(path), "--variable", "x", "--target", "y",
+            *flags])
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_short_row_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("x,y\n1.5,0\n\n2.5,1\n3.5\n4.5,1\n")
+        code, _, err = run(capsys, [
+            "fit", "--data", str(path), "--variable", "x", "--target", "y"])
+        assert code == 3
+        assert "line 5: missing field 'y'" in err
+
+    def test_variable_field_is_checked_before_target_column(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("x,y\n1.5,0\n\n2.5\n")
+        code, _, err = run(capsys, [
+            "fit", "--data", str(path), "--variable", "y", "--target", "z"])
+        assert code == 3
+        assert "line 4: missing field 'y'" in err
+
+    def test_undecodable_file_is_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,y\n\xe9,1\n".encode("latin-1"))
+        code, _, err = run(capsys, [
+            "fit", "--data", str(path), "--variable", "x", "--target", "y"])
+        assert code == 3
+        assert "cannot read" in err
 
 
 # --------------------------------------------------------------------------- #
@@ -352,7 +432,72 @@ class TestTransformValue:
                             trend_used="none", config=BinningConfig())
         with pytest.raises(InputError):
             cli.transform_values(cont, [0.5], mode="woe")
-        assert cli.transform_values(cont, [0.5], mode="auto") == [2.0]
+        assert cli.transform_values(cont, [0.5], mode="auto").tolist() == [2.0]
+
+
+    def test_signed_zero_specials(self):
+        for special, value in ((-0.0, 0.0), (0.0, -0.0)):
+            model = replace(reference_model(),
+                            config=BinningConfig(special_values=(special,)))
+            assert cli.transform_value(model, value, "index") == 10
+
+    def test_nan_special_still_routes_to_missing(self):
+        model = replace(reference_model(),
+                        config=BinningConfig(special_values=(float("nan"),)))
+        assert cli.transform_value(model, float("nan"), "index") == 11
+
+    def test_first_unknown_category_in_row_order_names_the_error(self):
+        model = BinningModel(
+            variable="housing", dtype="categorical",
+            target_kind=TargetKind.binary(),
+            groups=(("own",), ("rent",)), transform_values=(0.5, -0.5),
+            trend_used="none", config=BinningConfig())
+        with pytest.raises(InputError, match="'zeta'"):
+            cli.transform_values(model, ["own", None, "zeta", "alpha", "zeta"])
+
+    def test_matches_a_per_value_loop(self):
+        rng = np.random.default_rng(17)
+        model = reference_model()
+        values = [*REFERENCE_SPLITS, -9.0, None, float("nan"), float("inf"),
+                  *rng.uniform(0, 150, 300).round(1).tolist()]
+        for mode in ("woe", "index"):
+            expected = [_reference_transform_value(model, v, mode)
+                        for v in values]
+            assert cli.transform_values(model, values, mode).tolist() == \
+                expected
+        cat = BinningModel(
+            variable="housing", dtype="categorical",
+            target_kind=TargetKind.binary(),
+            groups=(("own",), ("mortgage", "family"), ("rent",)),
+            others=("boat",), transform_values=(0.8, 0.1, -0.7),
+            others_value=0.05, special_value=0.3, missing_value=0.2,
+            trend_used="none", config=BinningConfig(special_values=("zz",)))
+        labels = ["own", "mortgage", "family", "rent", "boat", "igloo", "zz",
+                  None]
+        values = [labels[k] for k in rng.integers(0, len(labels), 300)]
+        for mode in ("woe", "index"):
+            expected = [_reference_transform_value(cat, v, mode)
+                        for v in values]
+            assert cli.transform_values(cat, values, mode).tolist() == expected
+
+
+def _reference_transform_value(model, v, mode):
+    """One value at a time, as a loop over the table rows would map it."""
+    m = len(model.transform_values)
+    row_special = m + (1 if model.others else 0)
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return row_special + 1 if mode == "index" else model.missing_value
+    if model.dtype == "numeric":
+        if v in model.config.special_values:
+            return row_special if mode == "index" else model.special_value
+        k = sum(1 for s in model.splits if s <= v)
+        return k if mode == "index" else model.transform_values[k]
+    if str(v) in model.config.special_values:
+        return row_special if mode == "index" else model.special_value
+    for k, group in enumerate(model.groups):
+        if str(v) in group:
+            return k if mode == "index" else model.transform_values[k]
+    return m if mode == "index" else model.others_value
 
 
 class TestTransformCommand:
@@ -396,8 +541,8 @@ class TestTransformCommand:
         """Every fitted record lands in the bin whose stats row counted it."""
         model_path = self._fit(binary_csv, tmp_path, capsys)
         model = BinningModel.from_json(open(model_path).read())
-        raw = cli._read_column(binary_csv, "age")
-        values = cli._parse_variable(raw, "numeric", "")
+        [raw] = cli._read_columns(binary_csv, ["age"])
+        values, _ = cli._parse_variable(raw, "numeric", "")
         idx = cli.transform_values(model, values, mode="index")
         m = len(model.bins)
         from collections import Counter
@@ -417,6 +562,50 @@ class TestTransformCommand:
         code, _, err = run(capsys, ["transform", "--model", str(bad),
                                     "--data", str(tmp_path / "no.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("target_kind, edit, message", [
+        ("binary", lambda d: d["transform_values"].pop(),
+         "transform values for"),
+        ("continuous", lambda d: d["transform_values"].pop(),
+         "transform values for"),
+        ("binary", lambda d: d["splits"].pop(), "splits for"),
+        ("binary", lambda d: d["splits"].reverse(), "strictly ascending"),
+        ("binary", lambda d: d["splits"].__setitem__(1, d["splits"][0]),
+         "strictly ascending"),
+    ])
+    def test_malformed_numeric_model_is_3(self, binary_csv, tmp_path, capsys,
+                                          target_kind, edit, message):
+        flags = ["--target-kind", "continuous"] \
+            if target_kind == "continuous" else []
+        model_path = str(tmp_path / "model.json")
+        code, _, _ = run(capsys, [
+            "fit", "--data", binary_csv, "--variable", "age",
+            "--target", "default", "--model", model_path, *flags])
+        assert code == 0
+        self._check_rejected(model_path, binary_csv, edit, message, capsys)
+
+    def test_malformed_categorical_model_is_3(self, categorical_csv,
+                                              tmp_path, capsys):
+        model_path = str(tmp_path / "cat.json")
+        code, _, _ = run(capsys, [
+            "fit", "--data", categorical_csv, "--variable", "housing",
+            "--target", "default", "--model", model_path])
+        assert code == 0
+        self._check_rejected(model_path, categorical_csv,
+                             lambda d: d["groups"].pop(), "groups for", capsys)
+
+    @staticmethod
+    def _check_rejected(model_path, data, edit, message, capsys):
+        with open(model_path) as fh:
+            d = json.load(fh)
+        edit(d)
+        with open(model_path, "w") as fh:
+            json.dump(d, fh)
+        code, out, err = run(capsys, ["transform", "--model", model_path,
+                                      "--data", data])
+        assert code == 3
+        assert message in err and "malformed model file" in err
+        assert "Traceback" not in err and out == ""
 
 
 # --------------------------------------------------------------------------- #
@@ -467,3 +656,14 @@ class TestReport:
                                     "--format", "json"])
         assert code == 0
         assert json.loads(out)["variable"] == "age"
+
+
+def test_importing_the_cli_skips_scipy_stats():
+    """scipy.stats costs most of the import time; only scipy.special is
+    needed."""
+    code = ("import sys, binopt.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"

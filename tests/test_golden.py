@@ -14,7 +14,7 @@ known to be right) with::
 """
 
 import os
-import sys
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -113,13 +113,8 @@ def run_case(name: str, tmp: str) -> dict:
     model = os.path.join(tmp, name + ".model.json")
     output = os.path.join(tmp, name + ".transform.txt")
     table = os.path.join(tmp, name + ".table.txt")
-    stdout = sys.stdout
-    try:
-        with open(table, "w", encoding="utf-8") as sys.stdout:
-            code = cli.main(["fit", "--data", CSV, "--model", model,
-                             *fit_flags])
-    finally:
-        sys.stdout = stdout
+    with open(table, "w", encoding="utf-8") as fh, redirect_stdout(fh):
+        code = cli.main(["fit", "--data", CSV, "--model", model, *fit_flags])
     assert code == 0, name
     code = cli.main(["transform", "--data", CSV, "--model", model,
                      "--output", output, *transform_flags])

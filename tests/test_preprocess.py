@@ -14,23 +14,86 @@ class TestSplitRouting:
         target = [0, 1, 0, 1, 1, 1, 0]
         (xc, yc), (xs, ys), (xm, ym) = split_missing_special(
             values, target, special_values=(-9.0,))
-        assert xc == [1.0, 4.0, 7.0] and yc == [0, 1, 0]
-        assert xs == [-9.0, -9.0] and ys == [0, 1]
-        assert ym == [1, 1] and len(xm) == 2
+        assert xc.tolist() == [1.0, 4.0, 7.0] and yc.tolist() == [0, 1, 0]
+        assert xs.tolist() == [-9.0, -9.0] and ys.tolist() == [0, 1]
+        assert ym.tolist() == [1, 1] and len(xm) == 2
 
     def test_missing_wins_over_special(self):
         # NaN is missing even if NaN were listed as special
         (_, _), (xs, _), (xm, _) = split_missing_special(
             [float("nan")], [1], special_values=(float("nan"),))
-        assert xs == [] and len(xm) == 1
+        assert xs.tolist() == [] and len(xm) == 1
 
     def test_categorical_specials(self):
         (xc, _), (xs, _), _ = split_missing_special(
             ["a", "zz", "b"], [0, 1, 0], special_values=("zz",))
-        assert xc == ["a", "b"] and xs == ["zz"]
+        assert xc.tolist() == ["a", "b"] and xs.tolist() == ["zz"]
+
+
+    def test_signed_zero_specials(self):
+        for special, value in ((-0.0, 0.0), (0.0, -0.0)):
+            (xc, _), (xs, _), _ = split_missing_special(
+                np.array([value, 1.0]), [1, 0], special_values=(special,))
+            assert xs.tolist() == [value] and xc.tolist() == [1.0]
+
+    def test_nan_special_routes_to_missing_in_a_float_column(self):
+        (xc, _), (xs, _), (xm, ym) = split_missing_special(
+            np.array([np.nan, 1.0, np.nan]), [1, 0, 0],
+            special_values=(float("nan"), 1.0))
+        assert xc.tolist() == [] and xs.tolist() == [1.0]
+        assert len(xm) == 2 and ym.tolist() == [1, 0]
+
+    def test_object_column_matches_a_per_record_loop(self):
+        rng = np.random.default_rng(4)
+        pool = ["a", "b", "zz", None, float("nan"), -9.0, 3.0]
+        values = [pool[k] for k in rng.integers(0, len(pool), 200)]
+        target = rng.integers(0, 2, 200).tolist()
+        specials = ("zz", -9.0)
+        streams = split_missing_special(values, target, specials)
+        expected = ([], []), ([], []), ([], [])
+        for v, t in zip(values, target):
+            k = 2 if v is None or v != v else 1 if v in specials else 0
+            expected[k][0].append(v)
+            expected[k][1].append(t)
+        for (x, y), (ex, ey) in zip(streams, expected):
+            assert len(x) == len(ex) and y.tolist() == ey
+            assert [v for v in x.tolist() if v == v] == \
+                [v for v in ex if v == v]
+
+
+def _reference_drop_splits(x, splits, min_count):
+    """Splits left after dropping, one at a time, the split to the right of
+    the leftmost pre-bin with fewer than ``min_count`` records (the last
+    pre-bin's left one), recounting every record after each drop."""
+    splits = list(splits)
+    while splits:
+        counts = np.bincount(np.searchsorted(splits, x, side="right"),
+                             minlength=len(splits) + 1)
+        small = [i for i, c in enumerate(counts) if c < min_count]
+        if not small:
+            break
+        del splits[min(small[0], len(splits) - 1)]
+    return tuple(splits)
 
 
 class TestPrebinNumeric:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_recounting_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.lognormal(0.0, 1.0, 500), int(rng.integers(0, 3)))
+        count, frac = int(rng.integers(5, 30)), float(rng.uniform(0, 0.12))
+        splits = prebin_numeric(x, prebin_count=count, prebin_min_frac=frac)
+        qs = np.unique(np.quantile(x, np.linspace(0, 1, count + 1)[1:-1]))
+        qs = qs[(qs > x.min()) & (qs <= x.max())]
+        min_count = max(1, int(np.ceil(frac * x.size)))
+        assert splits == _reference_drop_splits(x, qs, min_count)
+        # and build_prebin_table drops the splits of empty pre-bins alike
+        cuts = np.sort(rng.uniform(0, 3 * x.max(), 12))
+        t = build_prebin_table(x, np.ones(x.size), TargetKind.continuous(),
+                               splits=tuple(cuts))
+        assert t.splits == _reference_drop_splits(x, cuts, 1)
+
+
     def test_uniform_data_gets_requested_count(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 100, size=2000)
