@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -220,6 +221,20 @@ class PValuePairs:
 
     def blocks(self, prev_end: int, prev_start: int, end: int, start: int) -> bool:
         return (prev_end, prev_start, end, start) in self.pairs
+
+    @cached_property
+    def by_boundary(self) -> dict:
+        """The adjacent pairs grouped by the start ``l`` of the second bin.
+
+        Maps l to index arrays (j, k): bin j..l-1 may not be followed by bin
+        l..k.  Built once per pairs object, on first use.
+        """
+        groups = {}
+        for i, j, k, l in self.pairs:
+            if l == i + 1:
+                groups.setdefault(l, []).append((j, k))
+        return {l: tuple(np.array(jk, dtype=np.intp).T)
+                for l, jk in groups.items()}
 
 
 def _pooled_zstat(e1: float, ne1: float, e2: float, ne2: float) -> float:

@@ -504,13 +504,15 @@ def _format_table(rows, header) -> str:
 
 
 def render_table(model: BinningModel) -> str:
-    """The binning table: per-bin rows plus Others/Special/Missing."""
+    """The binning table: per-bin rows plus Others/Special/Missing.
+
+    A model without per-bin stats (``bins`` empty) gets only the pool rows.
+    """
     labels = _row_labels(model)
-    stats = list(model.bins)
-    if model.others:
-        stats.append(model.others_stats)
-    stats.extend([model.special, model.missing])
-    total = sum(b.count for b in stats)
+    pools = [model.others_stats] if model.others else []
+    pools += [model.special, model.missing]
+    labeled = [*zip(labels, model.bins), *zip(labels[-len(pools):], pools)]
+    total = sum(b.count for _, b in labeled)
 
     def pct(c):
         return "{:.2%}".format(c / total) if total else "0.00%"
@@ -521,18 +523,18 @@ def render_table(model: BinningModel) -> str:
         rows = [[lab, b.count, pct(b.count), b.nonevent, b.event,
                  "{:.5f}".format(b.event_rate), "{:.5f}".format(b.woe),
                  "{:.5f}".format(b.iv_contrib), "{:.5f}".format(b.js_contrib)]
-                for lab, b in zip(labels, stats)]
+                for lab, b in labeled]
     elif model.target_kind.is_continuous:
         header = ["Bin", "Count", "Count (%)", "Sum", "Mean"]
         rows = [[lab, b.count, pct(b.count), "{:.5f}".format(b.sum),
                  "{:.5f}".format(b.mean)]
-                for lab, b in zip(labels, stats)]
+                for lab, b in labeled]
     else:
         k = model.target_kind.n_classes
         header = ["Bin", "Count", "Count (%)"] + \
                  ["Class {}".format(c) for c in range(k)]
         rows = []
-        for lab, b in zip(labels, stats):
+        for lab, b in labeled:
             cc = list(b.class_counts) if b.class_counts else [0] * k
             rows.append([lab, b.count, pct(b.count), *cc])
     return _format_table(rows, header)

@@ -214,7 +214,7 @@ def build_prebin_table(values, target, target_kind: TargetKind, *,
         kept_groups = tuple(tuple(g) for g in groups)
         kept_splits = ()
     else:
-        s = np.asarray(sorted(splits or ()), dtype=float)
+        s = np.sort(np.asarray(() if splits is None else splits, dtype=float))
         x = np.asarray(values, dtype=float)
         idx = np.searchsorted(s, x, side="right")
         kept = _merge_small(s, np.bincount(idx, minlength=s.size + 1), 1)

@@ -15,7 +15,10 @@ total mean deviation (continuous targets), subject to:
   by ``gamma`` and folded into the objective.
 
 The search is a depth-first branch and bound over "next interval" choices with
-incremental trend automata and an optimistic objective bound.  A brute-force
+incremental trend automata.  It prunes with a completion bound from one
+vectorized interval DP (``_completion_bound``) that enforces the per-bin and
+adjacent-bin constraints and relaxes the rest, and a free peak/valley passes
+the best objective so far to each later change point as a cutoff.  A brute-force
 enumerator with independent whole-partition checks (``brute_force_oracle``)
 provides reference semantics for testing; ties are broken identically in both:
 better objective, then fewer bins, then lexicographically earliest interval
@@ -420,50 +423,145 @@ def _gate_step(code: int, beta: float, t: int, state, d: float, s: int, e: int):
 
 
 # --------------------------------------------------------------------------- #
+# the completion bound
+# --------------------------------------------------------------------------- #
+
+def _interval_ok(agg: AggregateSet, cfg: BinningConfig, forbidden=None):
+    """ok[s, e]: may the bin s..e appear at all (size bounds, presolve mask)?"""
+    n = agg.n
+    ok = np.triu(np.ones((n, n), dtype=bool))
+    r_max = cfg.max_bin_size if cfg.max_bin_size is not None else _POS_INF
+    ok &= (agg.R.T >= (cfg.min_bin_size or 0)) & (agg.R.T <= r_max)
+    if agg.R_ne is not None:
+        ne_max = cfg.max_nonevent if cfg.max_nonevent is not None else _POS_INF
+        e_max = cfg.max_event if cfg.max_event is not None else _POS_INF
+        ok &= (agg.R_ne.T >= (cfg.min_nonevent or 0)) & (agg.R_ne.T <= ne_max)
+        ok &= (agg.R_e.T >= (cfg.min_event or 0)) & (agg.R_e.T <= e_max)
+    if forbidden:
+        starts, ends = zip(*forbidden)
+        ok[starts, ends] = False
+    return ok
+
+
+def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
+                      pairs: PValuePairs | None, trends, ok):
+    """Bound on the best completion of every partial partition: an interval DP.
+
+    ``G[s, p, r]`` is the best objective sum over ways to cover pre-bins
+    s..n-1 with at most ``r`` bins, right after a bin that starts at pre-bin
+    ``p`` (``p`` is 0 when s is 0): the maximum for divergence targets, the
+    minimum for continuous ones, and -inf (+inf) when no way exists.  The DP
+    enforces the bins allowed by ``ok``, ``max_bins``, and every check between
+    two adjacent bins: p-value separation, and on each rate matrix monotone
+    trends and pinned peaks/valleys with ``min_diff`` and ``EPS`` (weaker
+    than the pairwise chains, as a bound must be).  It relaxes ``min_bins``,
+    concave/convex, free peak/valley automata and the std and max-min
+    penalties.  HHI is folded in exactly: each bin is charged its own
+    ``gamma * R**2 / T**2``.  With nothing relaxed, the bound is the optimum.
+
+    Table size is (n + 1) * n * (B + 1) with B = ``max_bins``; the ``r`` axis
+    has length 1 (any bin count) when ``max_bins`` is None.
+    """
+    n = agg.n
+    minimize = agg.target.is_continuous
+    worst = _POS_INF if minimize else _NEG_INF
+    best_of = np.minimum.reduce if minimize else np.maximum.reduce
+
+    val = agg.objective_matrix().T                # val[s, e]: bin s..e
+    if cfg.concentration == CONC_HHI and cfg.gamma:
+        total = agg.R[n - 1, 0]
+        share = cfg.gamma * (agg.R.T * agg.R.T) / (total * total)
+        val = val + share if minimize else val - share
+    val = np.where(ok, val, worst)
+
+    # adjacent-bin trend checks, one per constrained rate matrix: a bin that
+    # starts at or before t must ascend from its predecessor when first_up,
+    # and descend otherwise; the gates' thresholds, computed the same way
+    beta = cfg.min_diff
+    rules = []
+    for mat, tr in zip(agg.rate_matrices(), trends):
+        if tr.is_monotonic:
+            t, first_up = n, tr.kind == ASCENDING
+        elif tr.kind in (PEAK, VALLEY) and tr.change_point is not None:
+            t, first_up = tr.change_point, tr.kind == PEAK
+        else:
+            continue
+        rules.append((mat, mat + beta - EPS, mat - beta + EPS, t, first_up))
+    blocked = pairs.by_boundary if pairs is not None else {}
+
+    width = cfg.max_bins + 1 if cfg.max_bins is not None else 1
+    G = np.full((n + 1, n, width), worst)
+    G[n] = 0.0
+    for s in range(n - 1, -1, -1):
+        tail = G[s + 1:, s]                       # after bin s..e, for every e
+        if width == 1:
+            w = val[s, s:, None] + tail
+        else:
+            w = np.full((n - s, width), worst)
+            w[:, 1:] = val[s, s:, None] + tail[:, :-1]
+        if s == 0 or not (rules or s in blocked):
+            G[s] = best_of(w, axis=0)
+            continue
+        allowed = True                            # allowed[p, e - s]
+        for mat, up, down, t, first_up in rules:
+            cur = mat[s:, s]                      # rate of bin s..e
+            if (s <= t) == first_up:              # thresholds of bin p..s-1
+                allowed = allowed & (cur >= up[s - 1, :s, None])
+            else:
+                allowed = allowed & (cur <= down[s - 1, :s, None])
+        if s in blocked:
+            j, k = blocked[s]
+            free = np.ones((s, n - s), dtype=bool)
+            free[j, k - s] = False
+            allowed = allowed & free
+        G[s, :s] = best_of(np.where(allowed[:, :, None], w, worst), axis=1)
+    return G
+
+
+# --------------------------------------------------------------------------- #
 # the branch and bound
 # --------------------------------------------------------------------------- #
 
 def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
-                      pairs: PValuePairs | None, trends,
-                      mask: PresolveMask | None = None):
+                      pairs: PValuePairs | None, trends, ok, cutoff=None):
     """Core DFS.  Returns (intervals, objective) of the best feasible
     partition or None.  ``trends`` holds one concrete TrendSpec per rate
-    matrix.  Exploration order (interval end ascending at every level) makes
+    matrix; ``ok`` is the ``_interval_ok`` matrix of bins that may appear at
+    all.  Exploration order (interval end ascending at every level) makes
     the first solution found among objective/bin-count ties the
     lexicographically earliest start vector, so ties never replace the
     incumbent.
+
+    A node is dropped when ``_completion_bound`` says no completion exists,
+    or when its path sum plus the bound (less the concentration penalty the
+    path already fixes) is worse than the incumbent by more than a 1e-9
+    relative margin, so a path that could tie is never cut.  Every sum,
+    comparison and tie-break on the surviving paths is done here as before.
+    With a ``cutoff`` only partitions strictly better than it are returned.
     """
     n = agg.n
     R = agg.R
     obj_mat = agg.objective_matrix()
     rate_mats = agg.rate_matrices()
     minimize = agg.target.is_continuous
+    worst = _POS_INF if minimize else _NEG_INF
 
     b_min = cfg.min_bins
-    b_max = cfg.max_bins if cfg.max_bins is not None else n
-    r_min = cfg.min_bin_size or 0
-    r_max = cfg.max_bin_size if cfg.max_bin_size is not None else _POS_INF
-    use_ne = agg.R_ne is not None
-    if use_ne:
-        ne_min = cfg.min_nonevent or 0
-        ne_max = cfg.max_nonevent if cfg.max_nonevent is not None else _POS_INF
-        e_min = cfg.min_event or 0
-        e_max = cfg.max_event if cfg.max_event is not None else _POS_INF
+    b_max = cfg.max_bins
     gamma = cfg.gamma if cfg.concentration != CONC_OFF else 0.0
-    forbidden = mask.forbidden if mask is not None else None
+    hhi = gamma and cfg.concentration == CONC_HHI
+    maxmin = gamma and cfg.concentration == CONC_MAXMIN
+    total_sq = float(R[n - 1, 0]) ** 2
+
+    ends = [[e for e, good in enumerate(row) if good] for row in ok.tolist()]
+    G = _completion_bound(agg, cfg, pairs, trends, ok)
 
     gates = [_make_gate(tr, cfg.min_diff) for tr in trends]
     init_states = tuple(g[3] for g in gates)
 
-    # optimistic completion bound: divergence is superadditive under splits,
-    # so all-singletons bounds any completion from s onward (penalty >= 0
-    # only hurts); for minimization the diagonal is all zeros, bound is 0
-    if not minimize:
-        diag = np.array([obj_mat[z, z] for z in range(n)])
-        suffix = np.concatenate((np.cumsum(diag[::-1])[::-1], [0.0]))
-
-    best = {"obj": None, "nbins": 0, "intervals": None}
+    best = {"obj": cutoff, "nbins": 0, "intervals": None}
     path = []
+    counts = []                                   # record counts along path
 
     def leaf(v_sum):
         m = len(path)
@@ -487,33 +585,26 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
 
     def rec(s, states, v_sum):
         used = len(path)
-        if used + 1 > b_max:
-            return
         if used + (n - s) < b_min:
+            return
+        bound = G[s, path[-1][0] if path else 0, b_max - used if b_max else 0]
+        if bound == worst:
             return
         cur = best["obj"]
         if cur is not None:
+            # the part of the penalty that the bins on the path already fix
+            if hhi:
+                bound = bound - gamma * sum(c * c for c in counts) / total_sq
+            elif maxmin and counts:
+                bound = bound - gamma * (max(counts) - min(counts))
+            slack = 1e-9 * max(1.0, abs(cur))
             if minimize:
-                if v_sum > cur:
+                if v_sum + bound > cur + slack:
                     return
-            elif v_sum + suffix[s] < cur:
+            elif v_sum + bound < cur - slack:
                 return
         prev = path[-1] if path else None
-        for e in range(s, n):
-            r = R[e, s]
-            if r > r_max:
-                break
-            if r < r_min:
-                continue
-            if use_ne:
-                ne = agg.R_ne[e, s]
-                ev = agg.R_e[e, s]
-                if ne > ne_max or ev > e_max:
-                    break
-                if ne < ne_min or ev < e_min:
-                    continue
-            if forbidden is not None and (s, e) in forbidden:
-                continue
+        for e in ends[s]:
             if (pairs is not None and prev is not None
                     and pairs.blocks(prev[1], prev[0], e, s)):
                 continue
@@ -528,13 +619,21 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
             if dead:
                 continue
             path.append((s, e))
+            counts.append(float(R[e, s]))
             if e == n - 1:
                 leaf(v_sum + obj_mat[e, s])
             else:
                 rec(e + 1, tuple(new_states), v_sum + obj_mat[e, s])
             path.pop()
+            counts.pop()
 
-    rec(0, init_states, 0.0)
+    try:
+        rec(0, init_states, 0.0)
+    except RecursionError:
+        raise InvalidConfigError(
+            ["the exact search over {} pre-bins goes deeper than Python's "
+             "recursion limit; use fewer pre-bins, set max_bins or a minimum "
+             "bin size, or use --solver ls".format(n)]) from None
     if best["intervals"] is None:
         return None
     return best["intervals"], best["obj"]
@@ -555,10 +654,11 @@ def _single_trend_solve(agg, cfg, pairs, trend: TrendSpec, use_presolve: bool):
     """Solve for one concrete non-auto trend on a single rate matrix."""
     if trend.kind in (PEAK, VALLEY):
         return _peak_valley(agg, cfg, pairs, trend)
-    mask = None
+    forbidden = None
     if use_presolve and trend.is_monotonic and agg.D is not None:
-        mask = presolve_monotonic(agg.D, trend, cfg.min_diff)
-    hit = _branch_and_bound(agg, cfg, pairs, (trend,), mask)
+        forbidden = presolve_monotonic(agg.D, trend, cfg.min_diff).forbidden
+    hit = _branch_and_bound(agg, cfg, pairs, (trend,),
+                            _interval_ok(agg, cfg, forbidden))
     if hit is None:
         return Solution(status=INFEASIBLE, trend_used=trend, n_prebins=agg.n)
     intervals, obj = hit
@@ -573,7 +673,9 @@ def _peak_valley(agg, cfg, pairs, trend: TrendSpec):
 
     A pinned trend is one positional sub-solve.  A free trend solves each of
     the n candidate change points and keeps the best objective; among equal
-    objectives the smallest t wins (its sub-solve ran first).
+    objectives the smallest t wins (its sub-solve ran first).  Each later
+    sub-solve gets the best objective so far as its cutoff, since only a
+    strict improvement replaces it.
     """
     n = agg.n
     if trend.change_point is not None:
@@ -585,16 +687,14 @@ def _peak_valley(agg, cfg, pairs, trend: TrendSpec):
     else:
         candidates = list(range(n))
 
+    ok = _interval_ok(agg, cfg)
     best = None
     best_t = None
-    minimize = agg.target.is_continuous
     for t in candidates:
         pinned = TrendSpec(trend.kind, t)
-        hit = _branch_and_bound(agg, cfg, pairs, (pinned,))
-        if hit is None:
-            continue
-        _, obj = hit
-        if best is None or (obj < best[1] if minimize else obj > best[1]):
+        hit = _branch_and_bound(agg, cfg, pairs, (pinned,), ok,
+                                cutoff=None if best is None else best[1])
+        if hit is not None:
             best = hit
             best_t = t
     if best is None:
@@ -750,18 +850,14 @@ def solve_multiclass(agg: AggregateSet, cfg: BinningConfig,
         return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=agg.n)
     cfg = with_trend(cfg, trends)
 
-    mask = None
+    forbidden = set()
     if use_presolve:
-        forbidden = set()
         for c, tr in enumerate(trends):
             if tr.is_monotonic:
-                m = presolve_monotonic(agg.class_D[c], tr, cfg.min_diff)
-                forbidden |= m.forbidden
-        if forbidden:
-            mask = PresolveMask(n=agg.n, trend_kind="multiclass",
-                                forbidden=frozenset(forbidden))
-
-    hit = _branch_and_bound(agg, cfg, pairs, trends, mask)
+                forbidden |= presolve_monotonic(agg.class_D[c], tr,
+                                                cfg.min_diff).forbidden
+    hit = _branch_and_bound(agg, cfg, pairs, trends,
+                            _interval_ok(agg, cfg, forbidden))
     if hit is None:
         return Solution(status=INFEASIBLE, trend_used=trends, n_prebins=agg.n)
     intervals, obj = hit

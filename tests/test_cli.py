@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from binopt import BinningConfig, BinningModel, InputError, TargetKind
+from binopt.core import BinStats
 from binopt import cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -647,6 +648,23 @@ class TestReport:
         code, _, err = run(capsys, ["report", "--model", str(path)])
         assert code == 3
         assert "binary" in err
+
+    def test_model_without_bin_stats(self, tmp_path, capsys):
+        # from_dict accepts "bins": []; the pool rows keep their own labels
+        model = BinningModel(
+            variable="x", dtype="numeric", target_kind=TargetKind.binary(),
+            splits=(1.0, 2.0), transform_values=(0.1, 0.2, 0.3),
+            special=BinStats(count=3, nonevent=1, event=2, event_rate=2 / 3),
+            missing=BinStats(count=4, nonevent=3, event=1, event_rate=0.25),
+            trend_used="none", config=BinningConfig())
+        path = tmp_path / "bare.json"
+        path.write_text(model.to_json())
+        code, out, _ = run(capsys, ["report", "--model", str(path)])
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1]
+                for line in out.splitlines()[-2:]}
+        assert rows == {"Special": "3", "Missing": "4"}
+        assert "(-inf, 1)" not in out and "[1, 2)" not in out
 
     def test_json_format(self, binary_csv, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")

@@ -162,12 +162,13 @@ class TestBuildTable:
     def test_binary_counts(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         y = [0, 1, 0, 0, 1, 1]
-        t = build_prebin_table(x, y, TargetKind.binary(), splits=(2.5, 4.5))
-        assert t.n == 3
-        assert list(t.count) == [2, 2, 2]
-        assert list(t.event) == [1, 0, 2]
-        assert list(t.nonevent) == [1, 2, 0]
-        assert t.splits == (2.5, 4.5)
+        for splits in ((2.5, 4.5), [4.5, 2.5], np.array([2.5, 4.5])):
+            t = build_prebin_table(x, y, TargetKind.binary(), splits=splits)
+            assert t.n == 3
+            assert list(t.count) == [2, 2, 2]
+            assert list(t.event) == [1, 0, 2]
+            assert list(t.nonevent) == [1, 2, 0]
+            assert t.splits == (2.5, 4.5)
 
     def test_boundary_value_goes_right(self):
         t = build_prebin_table([2.5, 2.4], [1, 0], TargetKind.binary(),

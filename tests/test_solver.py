@@ -1,19 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from binopt import (
-    BinningConfig, InvalidConfigError, TrendSpec,
+    AggregateSet, BinningConfig, InvalidConfigError, TargetKind, TrendSpec,
     apply_pvalue_constraint, brute_force_oracle, check_trend,
     concentration_penalty, evaluate_partition, presolve_monotonic,
     pvalue_pairs, solve, solve_peak_valley, with_trend,
 )
-from binopt.solver import AUTO_MARGIN
+from binopt.solver import (
+    AUTO_MARGIN, _completion_bound, _interval_ok, _resolved_trends,
+)
 
 from helpers import (
     TREND_FAMILIES, binary_agg, continuous_agg, family_trend, multiclass_agg,
-    random_instance,
+    random_binary_agg, random_instance,
 )
 
 
@@ -307,6 +310,129 @@ class TestSolve:
                 assert got.intervals == ref.intervals, (family, i)
 
 
+# --------------------------------------------------------------------------- #
+# the completion bound
+# --------------------------------------------------------------------------- #
+
+def _root_bound(agg, cfg, pairs, trends, forbidden=None):
+    """The bound on the whole problem: no bin placed yet, max_bins to go."""
+    G = _completion_bound(agg, cfg, pairs, trends,
+                          _interval_ok(agg, cfg, forbidden))
+    return float(G[0, 0, -1])
+
+
+def _wide_binary_agg(rng, n):
+    """build_binary's matrices with numpy (its loops take a second at n=1e3)."""
+    ne = rng.integers(1, 30, size=n)
+    ev = rng.integers(1, 30, size=n)
+
+    def merged(x):
+        c = np.concatenate(([0.0], np.cumsum(x, dtype=float)))
+        return np.tril(c[1:, None] - c[None, :-1])
+
+    R_ne, R_e = merged(ne), merged(ev)
+    R = R_ne + R_e
+    p, q = R_ne / ne.sum(), R_e / ev.sum()
+    lower = np.tri(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V = np.where(lower, (p - q) * np.log(p / q), 0.0)
+        D = np.where(lower, R_e / R, 0.0)
+    return AggregateSet(n=n, target=TargetKind.binary(), divergence="iv",
+                        R=R, R_ne=R_ne, R_e=R_e, V=V, D=D)
+
+
+class TestCompletionBound:
+    # every constraint here involves one bin or two adjacent bins
+    DECOMPOSABLE = ("none", "ascending", "descending",
+                    "peak:pinned", "valley:pinned")
+
+    def test_exact_when_nothing_is_relaxed(self):
+        rng = np.random.default_rng(2005)
+        for i in range(240):
+            family = self.DECOMPOSABLE[i % len(self.DECOMPOSABLE)]
+            agg, cfg, pairs = random_instance(rng, family, i % 4, n_max=10)
+            cfg = replace(cfg, min_bins=1, concentration="off", gamma=0.0)
+            trends = _resolved_trends(agg, cfg)
+            ref = brute_force_oracle(agg, cfg, pairs)
+            bounds = [_root_bound(agg, cfg, pairs, trends)]
+            if trends[0].is_monotonic and agg.D is not None:
+                mask = presolve_monotonic(agg.D, trends[0], cfg.min_diff)
+                bounds.append(_root_bound(agg, cfg, pairs, trends,
+                                          mask.forbidden))
+            for root in bounds:
+                if ref.is_feasible:
+                    assert root == pytest.approx(ref.objective, rel=1e-12), \
+                        (family, i)
+                else:
+                    no_way = math.inf if agg.target.is_continuous else -math.inf
+                    assert root == no_way, (family, i)
+
+    def test_relaxation_everywhere_else(self):
+        rng = np.random.default_rng(2006)
+        for i in range(300):
+            family = TREND_FAMILIES[i % len(TREND_FAMILIES)]
+            agg, cfg, pairs = random_instance(rng, family, i % 4, n_max=10)
+            ref = brute_force_oracle(agg, cfg, pairs)
+            if not ref.is_feasible:
+                continue
+            # auto is bounded through the trend it resolved to
+            trends = _resolved_trends(agg, with_trend(cfg, ref.trend_used))
+            root = _root_bound(agg, cfg, pairs, trends)
+            # HHI is folded in with another summation order: allow rounding
+            slack = 1e-12 * max(1.0, abs(ref.objective))
+            if agg.target.is_continuous:
+                assert root <= ref.objective + slack, (family, i)
+            else:
+                assert root >= ref.objective - slack, (family, i)
+
+    @pytest.mark.parametrize("concentration,gamma", [
+        ("std", 0.002), ("hhi", 0.5), ("maxmin", 0.001)])
+    def test_penalized_peak_valley_beyond_the_corpus(self, concentration,
+                                                     gamma):
+        # the penalties are relaxed in the bound, so these are the searches
+        # the pruning cuts deepest; the acceptance corpus stops at n = 12.
+        # The weights are large enough to move most optima.
+        rng = np.random.default_rng(1416)
+        families = ("peak", "valley", "peak:pinned", "valley:pinned")
+        for i, family in enumerate(families):
+            n = (14, 14, 16, 14)[i]
+            div = ("iv", "jsd")[i % 2]
+            agg = random_binary_agg(rng, n, div, high=60)
+            cfg = BinningConfig(min_bins=2, concentration=concentration,
+                                gamma=gamma if div == "iv" else gamma / 4,
+                                divergence=div,
+                                trend=family_trend(family, rng, n))
+            got = solve(agg, cfg, use_presolve=True)
+            ref = brute_force_oracle(agg, cfg)
+            assert got.status == ref.status == "optimal", family
+            assert got.objective == ref.objective, family
+            assert got.intervals == ref.intervals, family
+
+    def test_exact_ties_are_never_pruned(self):
+        # equal pre-bin means: every partition deviates by exactly 0, so the
+        # first leaf (all singletons) ties every other one and only the
+        # tie-break (fewer bins, then earliest starts) may choose; with at
+        # most 9 records per bin the winner is three bins deep
+        agg = continuous_agg([2, 3, 4, 5, 6], [2.0, 3.0, 4.0, 5.0, 6.0])
+        for trend in ("none", "ascending", "peak", "valley:2", "concave"):
+            cfg = BinningConfig(min_bins=2, max_bin_size=9,
+                                trend=TrendSpec.parse(trend))
+            got = solve(agg, cfg, use_presolve=True)
+            assert got.objective == 0.0, trend
+            assert got.intervals == ((0, 1), (2, 3), (4, 4)), trend
+            assert got.intervals == brute_force_oracle(agg, cfg).intervals
+
+    def test_deep_search_is_a_config_error(self):
+        # all singletons is the first path tried: one Python frame per bin.
+        # With no max_bins the bound has one entry per (start, previous
+        # start); a bin-count axis would make it n^3 = 1.3e9 entries.
+        agg = _wide_binary_agg(np.random.default_rng(5), 1100)
+        cfg = BinningConfig(min_bins=1, trend=TrendSpec("none"))
+        with pytest.raises(InvalidConfigError, match="1100 pre-bins") as err:
+            solve(agg, cfg)
+        assert "--solver ls" in str(err.value)
+
+
 class TestPeakValley:
     def test_free_peak_finds_best_change_point(self):
         agg = binary_agg([8, 2, 8], [2, 8, 2])   # rates 0.2, 0.8, 0.2
@@ -317,6 +443,25 @@ class TestPeakValley:
         assert sol.change_point == 1
         assert sol.objective == pytest.approx(
             brute_force_oracle(agg, cfg).objective)
+
+    def test_free_change_point_is_the_smallest_optimal_pin(self):
+        # later change points get the best objective so far as a cutoff and
+        # must not take over on a tie
+        rng = np.random.default_rng(4242)
+        for i in range(60):
+            family = ("peak", "valley")[i % 2]
+            agg, cfg, pairs = random_instance(rng, family, i % 3)
+            free = solve_peak_valley(agg, cfg, pairs)
+            pins = [solve_peak_valley(
+                agg, with_trend(cfg, TrendSpec(family, t)), pairs)
+                for t in range(agg.n)]
+            best = [t for t, p in enumerate(pins)
+                    if p.is_feasible and p.objective == free.objective]
+            if not free.is_feasible:
+                assert not best
+                continue
+            assert free.change_point == best[0], (family, i)
+            assert free.intervals == pins[best[0]].intervals, (family, i)
 
     def test_pinned_change_point_restricts(self):
         agg = binary_agg([8, 2, 8], [2, 8, 2])
