@@ -593,15 +593,16 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
         cur = best["obj"]
         if cur is not None:
             # the part of the penalty that the bins on the path already fix
+            fixed = 0.0
             if hhi:
-                bound = bound - gamma * sum(c * c for c in counts) / total_sq
+                fixed = gamma * sum(c * c for c in counts) / total_sq
             elif maxmin and counts:
-                bound = bound - gamma * (max(counts) - min(counts))
+                fixed = gamma * (max(counts) - min(counts))
             slack = 1e-9 * max(1.0, abs(cur))
             if minimize:
-                if v_sum + bound > cur + slack:
+                if v_sum + bound + fixed > cur + slack:
                     return
-            elif v_sum + bound < cur - slack:
+            elif v_sum + bound - fixed < cur - slack:
                 return
         prev = path[-1] if path else None
         for e in ends[s]:
