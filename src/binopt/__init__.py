@@ -49,8 +49,6 @@ from .solver import (
     presolve_monotonic,
     solve,
     solve_peak_valley,
-    solve_multiclass,
-    auto_trend,
     brute_force_oracle,
 )
 from .localsearch import (
@@ -86,8 +84,7 @@ __all__ = [
     "build_binary", "build_continuous", "build_multiclass", "pvalue_pairs",
     "apply_pvalue_constraint", "check_trend", "concentration_penalty",
     "evaluate_partition",
-    "presolve_monotonic", "solve", "solve_peak_valley", "solve_multiclass",
-    "auto_trend", "brute_force_oracle",
+    "presolve_monotonic", "solve", "solve_peak_valley", "brute_force_oracle",
     "DiagonalEncoding", "decode", "encode", "ls_objective", "ls_solve",
     "QualityReport", "c_star", "rayleigh_factor", "iv_label",
     "adjacent_pvalues", "quality_score", "assess",

@@ -107,12 +107,8 @@ class AggregateSet:
 
 def _merge_counts(values: np.ndarray) -> TriMatrix:
     """Lower-triangular sums: out[i, j] = values[j] + ... + values[i]."""
-    n = values.size
     csum = np.concatenate(([0.0], np.cumsum(values, dtype=float)))
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i, : i + 1] = csum[i + 1] - csum[: i + 1]
-    return out
+    return np.tril(csum[1:, None] - csum[None, :-1])
 
 
 def build_binary(table: PrebinTable, divergence: str = DIV_IV) -> AggregateSet:

@@ -690,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="maximum number of pre-bins")
     fit.add_argument("--solver", default="exact", choices=["exact", "ls"])
     fit.add_argument("--time-budget", type=float, default=None,
-                     help="wall-clock cap in seconds (ls solver only)")
+                     help="wall-clock cap in seconds, shared by the auto-trend "
+                          "sub-solves (ls solver only)")
     fit.add_argument("--seed", type=int, default=0,
                      help="random seed (ls solver only)")
     fit.add_argument("--model", default=None, help="write the model JSON here")

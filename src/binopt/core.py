@@ -166,10 +166,6 @@ class TrendSpec:
     def is_monotonic(self) -> bool:
         return self.kind in (ASCENDING, DESCENDING)
 
-    @property
-    def has_fixed_change_point(self) -> bool:
-        return self.change_point is not None
-
     def as_text(self) -> str:
         if self.change_point is not None:
             return "{}:{}".format(self.kind, self.change_point)
@@ -221,11 +217,6 @@ class BinningConfig:
     special_values: tuple = ()
     cat_others_cutoff: float = 0.0
     norm_p: int = 2
-
-    def trend_for_class(self, c: int) -> TrendSpec:
-        if isinstance(self.trend, TrendSpec):
-            return self.trend
-        return self.trend[c]
 
 
 def _is_count(x) -> bool:

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BinningConfig, Solution, TrendSpec, MalformedEncodingError,
-    validate_config, with_trend,
-    AUTO, FEASIBLE, INFEASIBLE,
+    BinningConfig, Solution, MalformedEncodingError, validate_config,
+    FEASIBLE, INFEASIBLE,
 )
 from .aggregate import AggregateSet, PValuePairs
 from .solver import (
-    evaluate_partition, apply_pvalue_constraint, _trend_feasible,
-    _resolved_trends, _auto_pick, _resolve_class_trends,
+    evaluate_partition, _violated_groups, _resolve, _search_count,
 )
 
 
@@ -99,41 +97,6 @@ def ls_objective(x, agg: AggregateSet, cfg: BinningConfig,
 # search
 # --------------------------------------------------------------------------- #
 
-def _violations(intervals, agg, cfg, pairs) -> int:
-    """How many constraint groups a partition breaks (guides infeasible states)."""
-    n = agg.n
-    m = len(intervals)
-    bad = 0
-    b_max = cfg.max_bins if cfg.max_bins is not None else n
-    if m < cfg.min_bins:
-        bad += cfg.min_bins - m
-    if m > b_max:
-        bad += m - b_max
-    r_min = cfg.min_bin_size or 0
-    r_max = cfg.max_bin_size if cfg.max_bin_size is not None else float("inf")
-    for s, e in intervals:
-        if not r_min <= agg.R[e, s] <= r_max:
-            bad += 1
-    if agg.R_ne is not None:
-        ne_min = cfg.min_nonevent or 0
-        ne_max = cfg.max_nonevent if cfg.max_nonevent is not None else float("inf")
-        e_min = cfg.min_event or 0
-        e_max = cfg.max_event if cfg.max_event is not None else float("inf")
-        for s, e in intervals:
-            if not ne_min <= agg.R_ne[e, s] <= ne_max:
-                bad += 1
-            if not e_min <= agg.R_e[e, s] <= e_max:
-                bad += 1
-    trends = _resolved_trends(agg, cfg)
-    for mat, trend in zip(agg.rate_matrices(), trends):
-        rates = [mat[e, s] for s, e in intervals]
-        if not _trend_feasible(intervals, rates, trend, cfg.min_diff):
-            bad += 1
-    if not apply_pvalue_constraint(intervals, pairs):
-        bad += 1
-    return bad
-
-
 def _neighbors(x: list, n: int):
     """Bit flips plus boundary shifts, in a fixed deterministic order."""
     for i in range(n - 1):
@@ -167,27 +130,32 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
     on strict improvement; the best feasible partition across restarts is
     returned with status FEASIBLE (never a claim of optimality), or an
     INFEASIBLE solution when nothing feasible was met.  Auto trends are
-    resolved with local-search sub-solves before the main runs.
+    resolved with local-search sub-solves before the main run, as ``solve``
+    resolves them.  ``time_limit`` caps all of these runs together: each one
+    may use the time left split evenly over the runs still to come.
     """
     validate_config(cfg)
-    n = agg.n
     deadline = None if time_limit is None else time.monotonic() + time_limit
+    left = _search_count(agg, cfg)
 
-    def sub_solve(view, sub_cfg, sub_pairs):
-        return ls_solve(view, sub_cfg, sub_pairs, seed=seed,
-                        restarts=restarts, max_moves=max_moves,
-                        time_limit=time_limit)
+    def search(sub_agg, sub_cfg, sub_pairs):
+        nonlocal left
+        cap = None
+        if deadline is not None:
+            now = time.monotonic()
+            cap = now + (deadline - now) / left
+        left -= 1
+        return _descend(sub_agg, sub_cfg, sub_pairs, seed, restarts,
+                        max_moves, cap)
 
-    if agg.target.is_multiclass:
-        trends = _resolve_class_trends(agg, cfg, pairs, sub_solve)
-        if trends is None:
-            return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
-        cfg = with_trend(cfg, trends)
-    elif isinstance(cfg.trend, TrendSpec) and cfg.trend.kind == AUTO:
-        sol = _auto_pick(lambda tr: sub_solve(agg, with_trend(cfg, tr), pairs),
-                         agg.target.is_continuous, n)
-        return sol
+    return _resolve(agg, cfg, pairs, search)
 
+
+def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
+             seed: int, restarts: int, max_moves: int | None,
+             deadline: float | None) -> Solution:
+    """The local search for concrete trends, stopping at ``deadline``."""
+    n = agg.n
     minimize = agg.target.is_continuous
     rng = np.random.default_rng(seed)
     b_min = max(1, cfg.min_bins)
@@ -200,7 +168,8 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
         feasible, obj = evaluate_partition(intervals, agg, cfg, pairs)
         if feasible:
             return (1, -obj if minimize else obj), intervals, obj
-        return (0, -float(_violations(intervals, agg, cfg, pairs))), intervals, obj
+        bad = sum(_violated_groups(intervals, agg, cfg, pairs))
+        return (0, -float(bad)), intervals, obj
 
     def start(k: int) -> list:
         if k == 0:

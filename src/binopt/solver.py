@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -182,51 +183,63 @@ def _resolved_trends(agg: AggregateSet, cfg: BinningConfig):
     return (cfg.trend,)
 
 
+def _bin_bounds(agg: AggregateSet, cfg: BinningConfig):
+    """(matrix, lo, hi) for each per-bin count bound: records, and for binary
+    targets non-events and events.  An unset bound is 0 below, inf above."""
+    bounds = [(agg.R, cfg.min_bin_size, cfg.max_bin_size)]
+    if agg.R_ne is not None:
+        bounds += [(agg.R_ne, cfg.min_nonevent, cfg.max_nonevent),
+                   (agg.R_e, cfg.min_event, cfg.max_event)]
+    return [(mat, lo or 0, _POS_INF if hi is None else hi)
+            for mat, lo, hi in bounds]
+
+
+def _violated_groups(intervals, agg: AggregateSet, cfg: BinningConfig,
+                     pairs: PValuePairs | None):
+    """Yield a positive weight for each constraint group a partition breaks.
+
+    The weights are the bins short of or over the bin-count bounds, and 1
+    for each bin outside each per-bin count bound, for each rate matrix
+    whose trend fails and for a broken p-value separation.  Their sum is the
+    violation count the local search descends on; a bin-bound group yields
+    per bin so that ``evaluate_partition`` stops at the first bad bin.
+    Trends must be concrete.
+    """
+    m = len(intervals)
+    b_max = cfg.max_bins if cfg.max_bins is not None else agg.n
+    if m < cfg.min_bins:
+        yield cfg.min_bins - m
+    if m > b_max:
+        yield m - b_max
+    for mat, lo, hi in _bin_bounds(agg, cfg):
+        for s, e in intervals:
+            if not lo <= mat[e, s] <= hi:
+                yield 1
+    for mat, trend in zip(agg.rate_matrices(), _resolved_trends(agg, cfg)):
+        rates = [mat[e, s] for s, e in intervals]
+        if not _trend_feasible(intervals, rates, trend, cfg.min_diff):
+            yield 1
+    if not apply_pvalue_constraint(intervals, pairs):
+        yield 1
+
+
 def evaluate_partition(intervals, agg: AggregateSet, cfg: BinningConfig,
                        pairs: PValuePairs | None = None):
     """Direct whole-partition feasibility check and objective.
 
     Returns (feasible, objective).  This is the reference scorer: it looks at
     the complete partition with no incremental state, and is what the oracle,
-    the local search, and the returned-solution postcheck all use.  Trends
-    must be concrete (auto is resolved before scoring).
+    the local search, and the returned-solution postcheck all use.  A
+    contiguous cover is feasible when ``_violated_groups`` yields nothing.
+    Trends must be concrete (auto is resolved before scoring).
     """
     intervals = tuple(intervals)
-    m = len(intervals)
-    n = agg.n
-    if m == 0 or intervals[0][0] != 0 or intervals[-1][1] != n - 1:
+    if not intervals or intervals[0][0] != 0 or intervals[-1][1] != agg.n - 1:
         return False, math.nan
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
         if e1 + 1 != s2:
             return False, math.nan
-
-    b_max = cfg.max_bins if cfg.max_bins is not None else n
-    if not cfg.min_bins <= m <= b_max:
-        return False, math.nan
-
-    r_min = cfg.min_bin_size or 0
-    r_max = cfg.max_bin_size if cfg.max_bin_size is not None else _POS_INF
-    for s, e in intervals:
-        if not r_min <= agg.R[e, s] <= r_max:
-            return False, math.nan
-    if agg.R_ne is not None:
-        ne_min = cfg.min_nonevent or 0
-        ne_max = cfg.max_nonevent if cfg.max_nonevent is not None else _POS_INF
-        e_min = cfg.min_event or 0
-        e_max = cfg.max_event if cfg.max_event is not None else _POS_INF
-        for s, e in intervals:
-            if not ne_min <= agg.R_ne[e, s] <= ne_max:
-                return False, math.nan
-            if not e_min <= agg.R_e[e, s] <= e_max:
-                return False, math.nan
-
-    trends = _resolved_trends(agg, cfg)
-    for mat, trend in zip(agg.rate_matrices(), trends):
-        rates = [mat[e, s] for s, e in intervals]
-        if not _trend_feasible(intervals, rates, trend, cfg.min_diff):
-            return False, math.nan
-
-    if not apply_pvalue_constraint(intervals, pairs):
+    if next(_violated_groups(intervals, agg, cfg, pairs), 0):
         return False, math.nan
 
     obj_mat = agg.objective_matrix()
@@ -248,8 +261,6 @@ def evaluate_partition(intervals, agg: AggregateSet, cfg: BinningConfig,
 class PresolveMask:
     """Intervals excluded from branching: (start, end) pairs fixed to zero."""
 
-    n: int
-    trend_kind: str
     forbidden: frozenset
 
 
@@ -266,8 +277,7 @@ def presolve_monotonic(D, trend: TrendSpec, min_diff: float = 0.0) -> PresolveMa
     Descending is the mirror image.  Empty for other trends.
     """
     if trend.kind not in (ASCENDING, DESCENDING):
-        return PresolveMask(n=int(D.shape[0]), trend_kind=trend.kind,
-                            forbidden=frozenset())
+        return PresolveMask(forbidden=frozenset())
     n = D.shape[0]
     asc = trend.kind == ASCENDING
     # best successor rate after position e; best predecessor rate before s
@@ -303,7 +313,7 @@ def presolve_monotonic(D, trend: TrendSpec, min_diff: float = 0.0) -> PresolveMa
                 dead = pred_best[s] < d + min_diff - EPS
             if dead:
                 forbidden.add((s, n - 1))
-    return PresolveMask(n=n, trend_kind=trend.kind, forbidden=frozenset(forbidden))
+    return PresolveMask(forbidden=frozenset(forbidden))
 
 
 # --------------------------------------------------------------------------- #
@@ -430,13 +440,8 @@ def _interval_ok(agg: AggregateSet, cfg: BinningConfig, forbidden=None):
     """ok[s, e]: may the bin s..e appear at all (size bounds, presolve mask)?"""
     n = agg.n
     ok = np.triu(np.ones((n, n), dtype=bool))
-    r_max = cfg.max_bin_size if cfg.max_bin_size is not None else _POS_INF
-    ok &= (agg.R.T >= (cfg.min_bin_size or 0)) & (agg.R.T <= r_max)
-    if agg.R_ne is not None:
-        ne_max = cfg.max_nonevent if cfg.max_nonevent is not None else _POS_INF
-        e_max = cfg.max_event if cfg.max_event is not None else _POS_INF
-        ok &= (agg.R_ne.T >= (cfg.min_nonevent or 0)) & (agg.R_ne.T <= ne_max)
-        ok &= (agg.R_e.T >= (cfg.min_event or 0)) & (agg.R_e.T <= e_max)
+    for mat, lo, hi in _bin_bounds(agg, cfg):
+        ok &= (mat.T >= lo) & (mat.T <= hi)
     if forbidden:
         starts, ends = zip(*forbidden)
         ok[starts, ends] = False
@@ -640,55 +645,20 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     return best["intervals"], best["obj"]
 
 
-def _postcheck(sol: Solution, agg, cfg, pairs):
-    if not sol.is_feasible:
-        return sol
-    feas, obj = evaluate_partition(sol.intervals, agg, cfg, pairs)
-    if not feas or abs(obj - sol.objective) > 1e-9 * max(1.0, abs(obj)):
-        raise AssertionError(
-            "solver returned a partition failing its own postcheck: {} obj={} "
-            "recheck=({}, {})".format(sol.intervals, sol.objective, feas, obj))
-    return sol
-
-
-def _single_trend_solve(agg, cfg, pairs, trend: TrendSpec, use_presolve: bool):
-    """Solve for one concrete non-auto trend on a single rate matrix."""
-    if trend.kind in (PEAK, VALLEY):
-        return _peak_valley(agg, cfg, pairs, trend)
-    forbidden = None
-    if use_presolve and trend.is_monotonic and agg.D is not None:
-        forbidden = presolve_monotonic(agg.D, trend, cfg.min_diff).forbidden
-    hit = _branch_and_bound(agg, cfg, pairs, (trend,),
-                            _interval_ok(agg, cfg, forbidden))
-    if hit is None:
-        return Solution(status=INFEASIBLE, trend_used=trend, n_prebins=agg.n)
-    intervals, obj = hit
-    return _postcheck(
-        Solution(status=OPTIMAL, intervals=intervals, objective=obj,
-                 trend_used=trend, n_prebins=agg.n),
-        agg, cfg, pairs)
-
-
-def _peak_valley(agg, cfg, pairs, trend: TrendSpec):
+def _peak_valley(agg, cfg, pairs, trend: TrendSpec, ok):
     """Fixed-change-point decomposition of peak/valley trends.
 
     A pinned trend is one positional sub-solve.  A free trend solves each of
     the n candidate change points and keeps the best objective; among equal
     objectives the smallest t wins (its sub-solve ran first).  Each later
     sub-solve gets the best objective so far as its cutoff, since only a
-    strict improvement replaces it.
+    strict improvement replaces it.  Returns the best ``_branch_and_bound``
+    hit (or None) and its change point.
     """
-    n = agg.n
     if trend.change_point is not None:
-        if trend.change_point >= n:
-            raise InvalidConfigError(
-                ["change_point {} out of range for {} pre-bins".format(
-                    trend.change_point, n)])
         candidates = [trend.change_point]
     else:
-        candidates = list(range(n))
-
-    ok = _interval_ok(agg, cfg)
+        candidates = range(agg.n)
     best = None
     best_t = None
     for t in candidates:
@@ -698,16 +668,47 @@ def _peak_valley(agg, cfg, pairs, trend: TrendSpec):
         if hit is not None:
             best = hit
             best_t = t
-    if best is None:
-        return Solution(status=INFEASIBLE, trend_used=trend, n_prebins=n)
-    intervals, obj = best
-    sol = Solution(status=OPTIMAL, intervals=intervals, objective=obj,
-                   trend_used=trend, change_point=best_t, n_prebins=n)
-    return _postcheck(sol, agg, cfg, pairs)
+    return best, best_t
+
+
+def _exact_search(agg: AggregateSet, cfg: BinningConfig,
+                  pairs: PValuePairs | None, use_presolve: bool = False):
+    """The exact search for concrete trends on one or K rate matrices.
+
+    Presolve masks intervals for monotone trends on event rates (never on
+    continuous means).  A peak/valley trend on one rate matrix then runs the
+    change-point decomposition; everything else is one branch and bound, in
+    which free peaks/valleys of a multi-class target run as two-phase gates
+    (a per-class change-point product would explode).  A returned partition
+    is rechecked from scratch by ``evaluate_partition``.
+    """
+    trends = _resolved_trends(agg, cfg)
+    forbidden = set()
+    if use_presolve and not agg.target.is_continuous:
+        for mat, tr in zip(agg.rate_matrices(), trends):
+            if tr.is_monotonic:
+                forbidden |= presolve_monotonic(mat, tr, cfg.min_diff).forbidden
+    ok = _interval_ok(agg, cfg, forbidden)
+    change_point = None
+    if len(trends) == 1 and trends[0].kind in (PEAK, VALLEY):
+        hit, change_point = _peak_valley(agg, cfg, pairs, trends[0], ok)
+    else:
+        hit = _branch_and_bound(agg, cfg, pairs, trends, ok)
+    if hit is None:
+        return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=agg.n)
+    intervals, obj = hit
+    feas, recheck = evaluate_partition(intervals, agg, cfg, pairs)
+    if not feas or abs(recheck - obj) > 1e-9 * max(1.0, abs(recheck)):
+        raise AssertionError(
+            "solver returned a partition failing its own postcheck: {} obj={} "
+            "recheck=({}, {})".format(intervals, obj, feas, recheck))
+    return Solution(status=OPTIMAL, intervals=intervals, objective=obj,
+                    trend_used=cfg.trend, change_point=change_point,
+                    n_prebins=agg.n)
 
 
 # --------------------------------------------------------------------------- #
-# automatic trend selection
+# trend resolution: automatic and per-class automatic trends
 # --------------------------------------------------------------------------- #
 
 # relative-improvement threshold for preferring peak/valley over monotone
@@ -767,34 +768,6 @@ def _auto_pick(solve_one, minimize: bool, n_prebins: int) -> Solution:
     return bent if gain >= AUTO_MARGIN else mono
 
 
-def auto_trend(agg: AggregateSet, cfg: BinningConfig,
-               pairs: PValuePairs | None = None, *,
-               use_presolve: bool = False) -> Solution:
-    """Solve with automatic trend selection (single rate matrix targets)."""
-    validate_config(cfg)
-
-    def solve_one(tr):
-        return _single_trend_solve(agg, with_trend(cfg, tr), pairs, tr,
-                                   use_presolve)
-
-    return _auto_pick(solve_one, agg.target.is_continuous, agg.n)
-
-
-# --------------------------------------------------------------------------- #
-# public solve entry points
-# --------------------------------------------------------------------------- #
-
-def solve_peak_valley(agg: AggregateSet, cfg: BinningConfig,
-                      pairs: PValuePairs | None = None) -> Solution:
-    """Peak/valley solve via the change-point decomposition."""
-    validate_config(cfg)
-    if not isinstance(cfg.trend, TrendSpec) or cfg.trend.kind not in (PEAK, VALLEY):
-        raise InvalidConfigError(
-            ["solve_peak_valley needs a peak or valley trend; got {!r}"
-             .format(cfg.trend)])
-    return _peak_valley(agg, cfg, pairs, cfg.trend)
-
-
 def _class_view(agg: AggregateSet, c: int) -> AggregateSet:
     """One class's one-vs-rest problem as a standalone aggregate set."""
     return AggregateSet(n=agg.n, target=TargetKind.binary(),
@@ -802,91 +775,81 @@ def _class_view(agg: AggregateSet, c: int) -> AggregateSet:
                         V=agg.class_V[c], D=agg.class_D[c])
 
 
-def _resolve_class_trends(agg, cfg, pairs, base_solver):
-    """Replace per-class Auto trends with concrete winners.
+def _resolve(agg: AggregateSet, cfg: BinningConfig,
+             pairs: PValuePairs | None, search) -> Solution:
+    """Run a solver's own ``search`` once every trend is concrete.
 
-    Each Auto class is resolved on its own one-vs-rest matrices (same size and
-    record constraints, no other classes), using ``base_solver`` so the exact
-    path and the oracle path resolve identically.  Returns the concrete trend
-    tuple, or None when some class admits no feasible trend at all (the joint
-    problem is then infeasible too, since it only adds constraints).
+    ``search(agg, cfg, pairs)`` solves a config whose trends are all
+    concrete; the exact solver, the oracle and the local search each pass
+    theirs, so all three resolve identically.  A pinned change point must
+    lie inside the pre-bins.  A single auto trend is ``_auto_pick`` over
+    ``search``.  Each auto class of a multi-class target is resolved the
+    same way on its own one-vs-rest view (same size and record constraints,
+    no other classes), and the joint search then runs with the winners; when
+    some class admits no trend at all the joint problem, which only adds
+    constraints, is INFEASIBLE.  ``cfg`` must be validated.
     """
+    n = agg.n
+    multi = agg.target.is_multiclass
     trends = list(_resolved_trends(agg, cfg))
+    for tr in trends:
+        if tr.change_point is not None and tr.change_point >= n:
+            raise InvalidConfigError(
+                ["change_point {} out of range for {} pre-bins".format(
+                    tr.change_point, n)])
     for c, tr in enumerate(trends):
         if tr.kind != AUTO:
             continue
-        view = _class_view(agg, c)
-
-        def solve_one(t, _view=view):
-            return base_solver(_view, with_trend(cfg, t), pairs)
-
-        won = _auto_pick(solve_one, False, agg.n)
+        view = _class_view(agg, c) if multi else agg
+        won = _auto_pick(lambda t: search(view, with_trend(cfg, t), pairs),
+                         view.target.is_continuous, n)
+        if not multi:
+            return won
         if not won.is_feasible:
-            return None
+            return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
         trends[c] = won.trend_used
-    return tuple(trends)
+    if multi:
+        cfg = with_trend(cfg, tuple(trends))
+    return search(agg, cfg, pairs)
 
 
-def solve_multiclass(agg: AggregateSet, cfg: BinningConfig,
-                     pairs: PValuePairs | None = None, *,
-                     use_presolve: bool = False) -> Solution:
-    """Joint solve over a shared partition with per-class trends.
+def _search_count(agg: AggregateSet, cfg: BinningConfig) -> int:
+    """How many searches ``_resolve`` runs at most: the four ``_auto_pick``
+    candidates per auto trend, and the joint search unless the only trend
+    is auto."""
+    trends = _resolved_trends(agg, cfg)
+    autos = sum(tr.kind == AUTO for tr in trends)
+    return 4 * autos + int(agg.target.is_multiclass or not autos)
 
-    The objective is the summed per-class divergence; each class's trend binds
-    its own one-vs-rest rate sequence.  Only record-count and bin-count size
-    bounds apply (non-event/event bounds are binary-target notions).  Free
-    peak/valley trends run as incremental two-phase automata here (a per-class
-    change-point product would explode); pinned ones are honored exactly.
-    """
-    validate_config(cfg)
-    if not agg.target.is_multiclass:
-        raise InvalidConfigError(["solve_multiclass needs a multi-class aggregate"])
 
-    def base(view, c_cfg, c_pairs):
-        tr = c_cfg.trend
-        return _single_trend_solve(view, c_cfg, c_pairs, tr, use_presolve)
-
-    trends = _resolve_class_trends(agg, cfg, pairs, base)
-    if trends is None:
-        return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=agg.n)
-    cfg = with_trend(cfg, trends)
-
-    forbidden = set()
-    if use_presolve:
-        for c, tr in enumerate(trends):
-            if tr.is_monotonic:
-                forbidden |= presolve_monotonic(agg.class_D[c], tr,
-                                                cfg.min_diff).forbidden
-    hit = _branch_and_bound(agg, cfg, pairs, trends,
-                            _interval_ok(agg, cfg, forbidden))
-    if hit is None:
-        return Solution(status=INFEASIBLE, trend_used=trends, n_prebins=agg.n)
-    intervals, obj = hit
-    return _postcheck(
-        Solution(status=OPTIMAL, intervals=intervals, objective=obj,
-                 trend_used=trends, n_prebins=agg.n),
-        agg, cfg, pairs)
-
+# --------------------------------------------------------------------------- #
+# public solve entry points
+# --------------------------------------------------------------------------- #
 
 def solve(agg: AggregateSet, cfg: BinningConfig,
           pairs: PValuePairs | None = None, *,
           use_presolve: bool = False) -> Solution:
     """Solve the constrained bin-merging problem exactly.
 
-    Dispatches on target kind and trend; returns an OPTIMAL solution, or an
-    INFEASIBLE one when no partition satisfies the constraints.  Deterministic:
-    identical inputs give identical solutions (ties resolved by fewer bins,
-    then earliest interval start vector).
+    Covers every target kind and trend, automatic and per-class ones
+    included; returns an OPTIMAL solution, or an INFEASIBLE one when no
+    partition satisfies the constraints.  Deterministic: identical inputs
+    give identical solutions (ties resolved by fewer bins, then earliest
+    interval start vector).
     """
     validate_config(cfg)
-    if agg.target.is_multiclass:
-        return solve_multiclass(agg, cfg, pairs, use_presolve=use_presolve)
-    if not isinstance(cfg.trend, TrendSpec):
+    return _resolve(agg, cfg, pairs,
+                    partial(_exact_search, use_presolve=use_presolve))
+
+
+def solve_peak_valley(agg: AggregateSet, cfg: BinningConfig,
+                      pairs: PValuePairs | None = None) -> Solution:
+    """``solve`` for a config whose trend must be one peak or valley."""
+    if not isinstance(cfg.trend, TrendSpec) or cfg.trend.kind not in (PEAK, VALLEY):
         raise InvalidConfigError(
-            ["a tuple of trends is only valid for multi-class targets"])
-    if cfg.trend.kind == AUTO:
-        return auto_trend(agg, cfg, pairs, use_presolve=use_presolve)
-    return _single_trend_solve(agg, cfg, pairs, cfg.trend, use_presolve)
+            ["solve_peak_valley needs a peak or valley trend; got {!r}"
+             .format(cfg.trend)])
+    return solve(agg, cfg, pairs)
 
 
 # --------------------------------------------------------------------------- #
@@ -906,38 +869,11 @@ def _all_partitions(n: int):
         yield tuple(intervals)
 
 
-def brute_force_oracle(agg: AggregateSet, cfg: BinningConfig,
-                       pairs: PValuePairs | None = None) -> Solution:
-    """Reference solver: enumerate all 2^(n-1) partitions and score directly.
-
-    Independent of the branch-and-bound path: each partition is checked as a
-    whole via evaluate_partition.  Same tie-breaking as solve().  Only for
-    small n (<= 20).
-    """
-    validate_config(cfg)
+def _enumerate(agg: AggregateSet, cfg: BinningConfig,
+               pairs: PValuePairs | None) -> Solution:
+    """The oracle's search for concrete trends: score every partition."""
     n = agg.n
-    if n > 20:
-        raise ValueError("oracle is exponential; n={} is too large".format(n))
-
     minimize = agg.target.is_continuous
-
-    if agg.target.is_multiclass:
-        def base(view, c_cfg, c_pairs):
-            return brute_force_oracle(view, c_cfg, c_pairs)
-
-        trends = _resolve_class_trends(agg, cfg, pairs, base)
-        if trends is None:
-            return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
-        cfg = with_trend(cfg, trends)
-        used = trends
-    elif isinstance(cfg.trend, TrendSpec) and cfg.trend.kind == AUTO:
-        def solve_one(tr):
-            return brute_force_oracle(agg, with_trend(cfg, tr), pairs)
-
-        return _auto_pick(solve_one, minimize, n)
-    else:
-        used = cfg.trend
-
     best = None
     for intervals in _all_partitions(n):
         feasible, obj = evaluate_partition(intervals, agg, cfg, pairs)
@@ -962,7 +898,21 @@ def brute_force_oracle(agg: AggregateSet, cfg: BinningConfig,
         if better:
             best = (obj, len(intervals), intervals)
     if best is None:
-        return Solution(status=INFEASIBLE, trend_used=used, n_prebins=n)
+        return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
     obj, _, intervals = best
     return Solution(status=OPTIMAL, intervals=intervals, objective=obj,
-                    trend_used=used, n_prebins=n)
+                    trend_used=cfg.trend, n_prebins=n)
+
+
+def brute_force_oracle(agg: AggregateSet, cfg: BinningConfig,
+                       pairs: PValuePairs | None = None) -> Solution:
+    """Reference solver: enumerate all 2^(n-1) partitions and score directly.
+
+    Independent of the branch-and-bound path: each partition is checked as a
+    whole via evaluate_partition.  Trends are resolved as in solve(), and
+    ties are broken the same way.  Only for small n (<= 20).
+    """
+    validate_config(cfg)
+    if agg.n > 20:
+        raise ValueError("oracle is exponential; n={} is too large".format(agg.n))
+    return _resolve(agg, cfg, pairs, _enumerate)

@@ -8,6 +8,7 @@ from binopt import (
     build_binary, build_continuous, build_multiclass, build_prebin_table,
     divergence_contrib, pvalue_pairs, woe,
 )
+from binopt.aggregate import _merge_counts
 from binopt.preprocess import PrebinTable
 
 
@@ -262,6 +263,16 @@ class TestPValuePairs:
         loose = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.5)
         tight = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.01)
         assert loose.pairs <= tight.pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 76, 200])
+def test_merge_counts_matches_a_row_loop(n):
+    values = np.random.default_rng(n).integers(0, 10**6, n).astype(float)
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    want = np.zeros((n, n))
+    for i in range(n):
+        want[i, : i + 1] = csum[i + 1] - csum[: i + 1]
+    assert np.array_equal(_merge_counts(values), want)
 
 
 def test_aggregate_arrays_are_frozen():

@@ -279,6 +279,20 @@ class TestFitExitCodes:
         assert code == 3
         assert "min_bins" in err
 
+    @pytest.mark.parametrize("kind, trend", [("binary", "peak:50"),
+                                             ("multiclass", "peak:50,none,none")])
+    def test_pinned_change_point_past_the_prebins_is_3(self, kind, trend,
+                                                        capsys):
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+        target = "yb" if kind == "binary" else "ym"
+        code, _, err = run(capsys, [
+            "fit", "--data", golden, "--variable", "num", "--target", target,
+            "--target-kind", kind, "--trend", trend, "--min-bin-size", "1",
+            "--min-bins", "1"])
+        assert code == 3
+        assert "change_point 50 out of range for" in err
+        assert "Traceback" not in err
+
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         path = tmp_path / "blank.csv"
         rng = np.random.default_rng(9)

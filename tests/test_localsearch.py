@@ -1,14 +1,19 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from binopt import (
     BinningConfig, MalformedEncodingError, TrendSpec,
-    decode, encode, evaluate_partition, ls_objective, ls_solve, solve,
-    with_trend,
+    apply_pvalue_constraint, check_trend, decode, encode, evaluate_partition,
+    ls_objective, ls_solve, solve, with_trend,
 )
+from binopt.solver import _violated_groups
 
 from helpers import (
-    TREND_FAMILIES, binary_agg, continuous_agg, random_instance,
+    TREND_FAMILIES, binary_agg, continuous_agg, multiclass_agg,
+    random_binary_agg, random_instance,
 )
 
 
@@ -183,3 +188,74 @@ class TestLsSolve:
         sol = ls_solve(agg, cfg, seed=0, restarts=10_000, time_limit=0.05)
         assert time.monotonic() - t0 < 2.0
         assert sol.status in ("feasible", "infeasible")
+
+    @pytest.mark.parametrize("kind", ["binary", "multiclass"])
+    def test_time_limit_covers_auto_sub_solves(self, kind):
+        # auto runs four sub-solves per auto trend (and a joint one for
+        # classes); they share the one budget instead of each taking all of it
+        rng = np.random.default_rng(70)
+        if kind == "binary":
+            agg = random_binary_agg(rng, 70, high=500)
+        else:
+            agg = multiclass_agg(rng.integers(1, 500, size=(3, 30)))
+        cfg = BinningConfig(min_bins=1, min_bin_size=agg.n_records // 20,
+                            trend=TrendSpec("auto"))
+        budget = 0.6
+        t0 = time.monotonic()
+        ls_solve(agg, cfg, seed=0, time_limit=budget)
+        assert time.monotonic() - t0 < 1.5 * budget
+
+
+def _independent_count(intervals, agg, cfg, pairs):
+    """Violated constraint groups, rebuilt here from the public checks only.
+
+    Bins short of or over the bin-count bounds, each bin outside each count
+    bound, each rate matrix failing its trend, and a broken p-value
+    separation.  A pinned peak/valley is checked as its two monotone phases
+    around the bin holding the pinned pre-bin.
+    """
+    m = len(intervals)
+    b_max = cfg.max_bins if cfg.max_bins is not None else agg.n
+    count = max(0, cfg.min_bins - m) + max(0, m - b_max)
+    bounds = [(agg.R, cfg.min_bin_size, cfg.max_bin_size)]
+    if agg.R_ne is not None:
+        bounds += [(agg.R_ne, cfg.min_nonevent, cfg.max_nonevent),
+                   (agg.R_e, cfg.min_event, cfg.max_event)]
+    for mat, lo, hi in bounds:
+        lo = 0 if lo is None else lo
+        hi = math.inf if hi is None else hi
+        count += sum(not lo <= mat[e, s] <= hi for s, e in intervals)
+    trend, t = cfg.trend, cfg.trend.change_point
+    for mat in agg.rate_matrices():
+        rates = [mat[e, s] for s, e in intervals]
+        if t is None:
+            ok = check_trend(rates, trend, cfg.min_diff)
+        else:
+            p = next(i for i, (s, e) in enumerate(intervals) if s <= t <= e)
+            up, down = TrendSpec("ascending"), TrendSpec("descending")
+            first, second = (up, down) if trend.kind == "peak" else (down, up)
+            ok = (check_trend(rates[:p + 1], first, cfg.min_diff)
+                  and check_trend(rates[p:], second, cfg.min_diff))
+        count += not ok
+    count += not apply_pvalue_constraint(intervals, pairs)
+    return count
+
+
+def test_violation_count_matches_the_public_checks():
+    # the count the local search descends on while a partition is infeasible
+    rng = np.random.default_rng(77)
+    families = [f for f in TREND_FAMILIES if f != "auto"]
+    counts = []
+    for i in range(480):
+        agg, cfg, pairs = random_instance(rng, families[i % len(families)],
+                                          i % 4)
+        for _ in range(4):
+            bits = rng.random(agg.n - 1) < rng.random()
+            intervals = decode([*bits.astype(int), 1]).intervals
+            count = sum(_violated_groups(intervals, agg, cfg, pairs))
+            feasible, _ = evaluate_partition(intervals, agg, cfg, pairs)
+            assert feasible == (count == 0), (i, intervals)
+            assert count == _independent_count(intervals, agg, cfg, pairs), \
+                (i, intervals)
+            counts.append(count)
+    assert 0 in counts and max(counts) >= 4

@@ -8,7 +8,7 @@ from binopt import (
     AggregateSet, BinningConfig, InvalidConfigError, TargetKind, TrendSpec,
     apply_pvalue_constraint, brute_force_oracle, check_trend,
     concentration_penalty, evaluate_partition, presolve_monotonic,
-    pvalue_pairs, solve, solve_peak_valley, with_trend,
+    ls_solve, pvalue_pairs, solve, solve_peak_valley, with_trend,
 )
 from binopt.solver import (
     AUTO_MARGIN, _completion_bound, _interval_ok, _resolved_trends,
@@ -491,6 +491,32 @@ class TestPeakValley:
         cfg = BinningConfig(trend=TrendSpec("valley", 7))
         with pytest.raises(InvalidConfigError):
             solve_peak_valley(agg, cfg)
+        # every solver, and every rate matrix of a multi-class target: a pin
+        # at the pre-bin count is one past the last pre-bin
+        mc = multiclass_agg([[5, 1, 4, 2], [1, 5, 2, 4], [3, 3, 3, 3]])
+        none = TrendSpec("none")
+        cases = [(agg, TrendSpec("peak", 2)),
+                 (mc, (TrendSpec("peak", 4), none, none)),
+                 (mc, (TrendSpec("auto"), none, TrendSpec("valley", 9)))]
+        for data, trend in cases:
+            cfg = BinningConfig(min_bins=1, trend=trend)
+            for solver in (solve, brute_force_oracle, ls_solve):
+                with pytest.raises(InvalidConfigError,
+                                   match=r"change_point \d out of range for "
+                                         "{} pre-bins".format(data.n)):
+                    solver(data, cfg)
+
+    def test_multiclass_shape_binds_every_class(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            agg = multiclass_agg(rng.integers(1, 15, size=(3, 7)))
+            cfg = BinningConfig(min_bins=1, trend=TrendSpec("valley"))
+            sol = solve_peak_valley(agg, cfg)
+            ref = brute_force_oracle(agg, cfg)
+            assert sol.status == ref.status
+            assert sol.intervals == ref.intervals
+            if sol.is_feasible:
+                assert sol.objective == ref.objective
 
     def test_needs_peak_or_valley(self):
         agg = binary_agg([3, 1], [1, 3])
