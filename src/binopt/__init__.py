@@ -7,6 +7,7 @@ from .core import (
     InvalidConfigError,
     DegenerateColumnError,
     InfeasibleError,
+    TimeBudgetError,
     ZeroCountError,
     MalformedEncodingError,
     InputError,
@@ -21,6 +22,7 @@ from .core import (
     OPTIMAL,
     FEASIBLE,
     INFEASIBLE,
+    TIME_LIMIT,
 )
 from .preprocess import (
     split_missing_special,
@@ -72,11 +74,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinoptError", "InvalidConfigError", "DegenerateColumnError",
-    "InfeasibleError", "ZeroCountError", "MalformedEncodingError",
+    "InfeasibleError", "TimeBudgetError", "ZeroCountError",
+    "MalformedEncodingError",
     "InputError",
     "TargetKind", "TrendSpec", "BinningConfig", "validate_config",
     "with_trend", "Solution", "BinStats", "BinningModel",
-    "OPTIMAL", "FEASIBLE", "INFEASIBLE",
+    "OPTIMAL", "FEASIBLE", "INFEASIBLE", "TIME_LIMIT",
     "split_missing_special", "prebin_numeric", "prebin_categorical",
     "PrebinTable", "build_prebin_table", "refine_prebins",
     "refine_prebins_multiclass",

@@ -90,6 +90,13 @@ class AggregateSet:
             if arr is not None:
                 arr.setflags(write=False)
 
+    @cached_property
+    def lookups(self) -> dict:
+        """Lookup tables derived from these matrices by the code that reads
+        them (``solver._tables``), built on first use and kept while the set
+        lives."""
+        return {}
+
     @property
     def n_records(self) -> int:
         return int(self.R[self.n - 1, 0])
@@ -258,11 +265,20 @@ def pvalue_pairs(R_ne: TriMatrix, R_e: TriMatrix, alpha: float) -> PValuePairs:
     n = R_e.shape[0]
     found = set()
     for i in range(n - 1):
+        # every first bin j..i against every second bin l..k at once, in
+        # _pooled_zstat's order of operations, so each z is the same float
         l = i + 1
-        for j in range(i + 1):
-            e1, ne1 = R_e[i, j], R_ne[i, j]
-            for k in range(l, n):
-                z = _pooled_zstat(e1, ne1, R_e[k, l], R_ne[k, l])
-                if abs(z) < threshold:
-                    found.add((i, j, k, l))
+        e1, ne1 = R_e[i, :l, None], R_ne[i, :l, None]
+        e2, ne2 = R_e[l:, l], R_ne[l:, l]
+        n1 = e1 + ne1
+        n2 = e2 + ne2
+        d1 = e1 / n1
+        d2 = e2 / n2
+        pbar = (e1 + e2) / (n1 + n2)
+        var = pbar * (1.0 - pbar) * (1.0 / n1 + 1.0 / n2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(var <= 0.0, 0.0, (d1 - d2) / np.sqrt(var))
+        js, ks = np.nonzero(np.abs(z) < threshold)
+        found.update((i, j, k, l)
+                     for j, k in zip(js.tolist(), (ks + l).tolist()))
     return PValuePairs(alpha=alpha, threshold=threshold, pairs=frozenset(found))

@@ -10,8 +10,9 @@ Three subcommands:
   means, or bin indices.
 - ``report``: re-print the binning table of a stored model.
 
-Exit codes: 0 success, 2 no feasible binning for the data and constraints,
-3 bad input (unreadable files, unknown columns, malformed values or flags).
+Exit codes: 0 success, 2 no feasible binning for the data and constraints
+(or, with ``--solver ls``, none found before the time budget ran out), 3 bad
+input (unreadable files, unknown columns, malformed values or flags).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 from .core import (
     BinningConfig, BinStats, BinningModel, TargetKind, TrendSpec,
     InputError, InvalidConfigError, InfeasibleError, DegenerateColumnError,
-    ZeroCountError, BinoptError, MalformedEncodingError,
-    validate_config, DIV_IV,
+    ZeroCountError, BinoptError, MalformedEncodingError, TimeBudgetError,
+    validate_config, DIV_IV, TIME_LIMIT,
 )
 from . import preprocess
 from . import aggregate
@@ -250,7 +251,9 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
          seed: int = 0, time_budget: float | None = None) -> BinningModel:
     """End-to-end fit: route records, pre-bin, aggregate, solve, tabulate.
 
-    Raises InfeasibleError when no partition satisfies the constraints.
+    Raises InfeasibleError when no partition satisfies the constraints, and
+    TimeBudgetError when the local search's budget ran out before it met a
+    feasible one.
     """
     validate_config(cfg)
     (xc, yc), (xs, ys_special), (xm, ys_missing) = \
@@ -300,6 +303,11 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
         sol = ls_solve(agg, cfg, pairs, seed=seed, time_limit=time_budget)
     else:
         sol = solve(agg, cfg, pairs, use_presolve=True)
+    if sol.status == TIME_LIMIT:
+        raise TimeBudgetError(
+            "the time budget of {} s ran out before the local search found "
+            "a feasible binning of {!r}; raise --time-budget or leave it "
+            "unset".format(time_budget, variable))
     if not sol.is_feasible:
         raise InfeasibleError(
             "no binning of {!r} satisfies the constraints".format(variable))
@@ -690,8 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="maximum number of pre-bins")
     fit.add_argument("--solver", default="exact", choices=["exact", "ls"])
     fit.add_argument("--time-budget", type=float, default=None,
-                     help="wall-clock cap in seconds, shared by the auto-trend "
-                          "sub-solves (ls solver only)")
+                     help="wall-clock cap in seconds (>= 0), shared by the "
+                          "auto-trend sub-solves (ls solver only)")
     fit.add_argument("--seed", type=int, default=0,
                      help="random seed (ls solver only)")
     fit.add_argument("--model", default=None, help="write the model JSON here")
@@ -729,6 +737,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except (InfeasibleError, DegenerateColumnError, ZeroCountError) as exc:
         print("infeasible: {}".format(exc), file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except TimeBudgetError as exc:
+        print("error: {}".format(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
     except BinoptError as exc:
         print("error: {}".format(exc), file=sys.stderr)

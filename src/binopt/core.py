@@ -39,6 +39,10 @@ class InfeasibleError(BinoptError):
     """No feasible binning exists for the given data and constraints."""
 
 
+class TimeBudgetError(BinoptError):
+    """The time budget ran out before a feasible partition was found."""
+
+
 class ZeroCountError(BinoptError):
     """A count that must be positive is zero (WoE/divergence undefined)."""
 
@@ -301,6 +305,9 @@ def validate_config(config: BinningConfig) -> BinningConfig:
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+# a time budget ran out before a search met any feasible partition; unlike
+# INFEASIBLE this proves nothing about the constraints
+TIME_LIMIT = "time_limit"
 
 
 @dataclass(frozen=True)
@@ -308,7 +315,7 @@ class Solution:
     """A solved partition of the pre-bins into contiguous intervals.
 
     ``intervals`` is an ordered tuple of (start, end) inclusive 0-based pre-bin
-    pairs partitioning 0..n_prebins-1.  Empty when infeasible.  ``objective``
+    pairs partitioning 0..n_prebins-1.  Empty unless feasible.  ``objective``
     includes the concentration term when one is configured.
     """
 
@@ -329,9 +336,10 @@ class Solution:
 
     def check_partition(self) -> None:
         """Assert the structural invariant: contiguous cover of 0..n-1."""
-        if self.status == INFEASIBLE:
+        if not self.is_feasible:
             if self.intervals:
-                raise AssertionError("infeasible solution carries intervals")
+                raise AssertionError("{} solution carries intervals".format(
+                    self.status))
             return
         if not self.intervals:
             raise AssertionError("feasible solution without intervals")

@@ -11,25 +11,28 @@ helper sequences are derived from x by linear recurrences:
   pre-bins (i - z[i]) .. i.
 
 The search is steepest descent over single-bit flips and boundary shifts with
-random restarts; it scores candidates with the same whole-partition evaluator
-the oracle uses, never claims optimality, and is deterministic for a fixed
-seed when no wall-clock cap cuts it short.
+random restarts.  It scores a candidate with the checks and objective of the
+whole-partition evaluator the oracle uses, read from per-bin tables and
+updated only for the bins a move changes; it never claims optimality, and is
+deterministic for a fixed seed when no wall-clock cap cuts it short.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    BinningConfig, Solution, MalformedEncodingError, validate_config,
-    FEASIBLE, INFEASIBLE,
+    BinningConfig, Solution, InvalidConfigError, MalformedEncodingError,
+    validate_config, FEASIBLE, INFEASIBLE, TIME_LIMIT,
 )
 from .aggregate import AggregateSet, PValuePairs
 from .solver import (
-    evaluate_partition, _violated_groups, _resolve, _search_count,
+    evaluate_partition, _objective, _resolve, _search_count, _tables,
+    _violated_groups,
 )
 
 
@@ -97,25 +100,51 @@ def ls_objective(x, agg: AggregateSet, cfg: BinningConfig,
 # search
 # --------------------------------------------------------------------------- #
 
-def _neighbors(x: list, n: int):
-    """Bit flips plus boundary shifts, in a fixed deterministic order."""
-    for i in range(n - 1):
-        y = x.copy()
-        y[i] ^= 1
-        yield y
-    for i in range(n - 1):
-        if not x[i]:
-            continue
-        if i > 0 and not x[i - 1]:
-            y = x.copy()
-            y[i] = 0
-            y[i - 1] = 1
-            yield y
-        if i + 1 < n - 1 and not x[i + 1]:
-            y = x.copy()
-            y[i] = 0
-            y[i + 1] = 1
-            yield y
+def _moves(intervals: tuple):
+    """The neighbours of a partition, as ``(i, drop, add)``: the bins
+    ``intervals[i:i + drop]`` give way to the bins in ``add``.
+
+    The order is that of the bit vector's moves: a flip of each bit 0..n-2
+    (a split inside a bin, or at a bin's end a merge with the next bin),
+    then for each inner boundary a shift one pre-bin left, then right.
+    """
+    last = len(intervals) - 1
+    for i, (s, e) in enumerate(intervals):
+        for c in range(s, e):
+            yield i, 1, ((s, c), (c + 1, e))
+        if i < last:
+            yield i, 2, ((s, intervals[i + 1][1]),)
+    for i in range(last):
+        (s, e), (s2, e2) = intervals[i], intervals[i + 1]
+        if s < e:
+            yield i, 2, ((s, e - 1), (e, e2))
+        if s2 < e2:
+            yield i, 2, ((s, e + 1), (e + 2, e2))
+
+
+def _score(intervals, tab, bad_bins):
+    """(key, objective) of a partition: ``(1, objective)`` (negated when
+    minimizing) when feasible, else ``(0, -violations)`` with the objective
+    NaN.  ``bad_bins`` is its bins' total of broken per-bin bounds."""
+    broken = sum(_violated_groups(intervals, tab, bad_bins))
+    if broken:
+        return (0, -float(broken)), math.nan
+    obj = _objective(intervals, tab)
+    return (1, -obj if tab.minimize else obj), obj
+
+
+def _neighbours(intervals: tuple, bad_bins: int, tab):
+    """``(key, intervals, objective, bad_bins)`` of each neighbour, in
+    ``_moves`` order; only the bins a move changes update ``bad_bins``."""
+    bad = tab.bad
+    for i, drop, add in _moves(intervals):
+        y_bad = bad_bins
+        for s, e in intervals[i:i + drop]:
+            y_bad -= bad[e][s]
+        for s, e in add:
+            y_bad += bad[e][s]
+        y = intervals[:i] + add + intervals[i + drop:]
+        yield (*_score(y, tab, y_bad), y, y_bad)
 
 
 def ls_solve(agg: AggregateSet, cfg: BinningConfig,
@@ -128,13 +157,18 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
     encodings with bin counts drawn inside the configured bounds.  Each
     restart walks to a local optimum of (feasibility, objective), moving only
     on strict improvement; the best feasible partition across restarts is
-    returned with status FEASIBLE (never a claim of optimality), or an
-    INFEASIBLE solution when nothing feasible was met.  Auto trends are
+    returned with status FEASIBLE (never a claim of optimality).  With
+    nothing feasible met the status is INFEASIBLE when every search ran to
+    its end, and TIME_LIMIT when the time ran out first.  Auto trends are
     resolved with local-search sub-solves before the main run, as ``solve``
-    resolves them.  ``time_limit`` caps all of these runs together: each one
-    may use the time left split evenly over the runs still to come.
+    resolves them.  ``time_limit`` (seconds, >= 0) caps all of these runs
+    together: each one may use the time left split evenly over the runs
+    still to come.
     """
     validate_config(cfg)
+    if time_limit is not None and not time_limit >= 0:
+        raise InvalidConfigError(
+            ["the time budget must be >= 0 seconds; got {!r}".format(time_limit)])
     deadline = None if time_limit is None else time.monotonic() + time_limit
     left = _search_count(agg, cfg)
 
@@ -154,22 +188,21 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
 def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
              seed: int, restarts: int, max_moves: int | None,
              deadline: float | None) -> Solution:
-    """The local search for concrete trends, stopping at ``deadline``."""
+    """The local search for concrete trends, stopping at ``deadline``.
+
+    A neighbour is scored from the per-bin tables: its bins are the current
+    ones with one or two replaced, the broken per-bin bounds are kept as a
+    running total, and the other checks and the objective read the tables.
+    The key is the one ``evaluate_partition`` and ``_violated_groups`` give
+    the whole partition, which rechecks the partition returned.
+    """
     n = agg.n
-    minimize = agg.target.is_continuous
+    tab = _tables(agg, cfg, pairs)
     rng = np.random.default_rng(seed)
     b_min = max(1, cfg.min_bins)
     b_max = min(n, cfg.max_bins if cfg.max_bins is not None else n)
     if max_moves is None:
         max_moves = 10 * n
-
-    def score(x_list):
-        intervals = decode(x_list).intervals
-        feasible, obj = evaluate_partition(intervals, agg, cfg, pairs)
-        if feasible:
-            return (1, -obj if minimize else obj), intervals, obj
-        bad = sum(_violated_groups(intervals, agg, cfg, pairs))
-        return (0, -float(bad)), intervals, obj
 
     def start(k: int) -> list:
         if k == 0:
@@ -185,23 +218,29 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
                 x[e] = 1
         return x
 
+    def out_of_time():
+        return deadline is not None and time.monotonic() > deadline
+
     best = None          # (score_key, n_bins, intervals, objective)
+    cut = False
     for k in range(max(1, restarts)):
-        if deadline is not None and time.monotonic() > deadline:
+        if out_of_time():
+            cut = True
             break
-        x = start(k)
-        key, intervals, obj = score(x)
+        intervals = decode(start(k)).intervals
+        bad_bins = sum(tab.bad[e][s] for s, e in intervals)
+        key, obj = _score(intervals, tab, bad_bins)
         for _ in range(max_moves):
-            if deadline is not None and time.monotonic() > deadline:
+            if out_of_time():
+                cut = True
                 break
             move = None
-            for y in _neighbors(x, n):
-                y_key, y_iv, y_obj = score(y)
-                if move is None or y_key > move[0]:
-                    move = (y_key, y, y_iv, y_obj)
+            for y in _neighbours(intervals, bad_bins, tab):
+                if move is None or y[0] > move[0]:
+                    move = y
             if move is None or move[0] <= key:
                 break
-            key, x, intervals, obj = move[0], move[1], move[2], move[3]
+            key, obj, intervals, bad_bins = move
         if key[0] == 1:
             cand = (key, len(intervals), intervals, obj)
             if best is None or cand[0] > best[0] or (
@@ -209,7 +248,13 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
                 best = cand
 
     if best is None:
-        return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
+        return Solution(status=TIME_LIMIT if cut else INFEASIBLE,
+                        trend_used=cfg.trend, n_prebins=n)
     _, _, intervals, obj = best
+    feasible, recheck = evaluate_partition(intervals, agg, cfg, pairs)
+    if not feasible or recheck != obj:
+        raise AssertionError(
+            "local search returned a partition failing its own recheck: {} "
+            "obj={} recheck=({}, {})".format(intervals, obj, feasible, recheck))
     return Solution(status=FEASIBLE, intervals=intervals, objective=obj,
                     trend_used=cfg.trend, n_prebins=n)

@@ -38,7 +38,7 @@ from .core import (
     InvalidConfigError,
     TREND_NONE, ASCENDING, DESCENDING, CONCAVE, CONVEX, PEAK, VALLEY, AUTO,
     CONC_OFF, CONC_STD, CONC_HHI, CONC_MAXMIN,
-    OPTIMAL, INFEASIBLE,
+    OPTIMAL, INFEASIBLE, TIME_LIMIT,
     with_trend,
 )
 from .aggregate import AggregateSet, PValuePairs
@@ -140,9 +140,13 @@ def concentration_penalty(intervals, R, kind: str) -> float:
     Computed on total record counts per bin.  A single bin has zero std by
     convention.  Always nonnegative.
     """
+    return _penalty([float(R[e, s]) for s, e in intervals], kind)
+
+
+def _penalty(counts, kind: str) -> float:
+    """``concentration_penalty`` of the bins' record counts, in bin order."""
     if kind == CONC_OFF:
         return 0.0
-    counts = [float(R[e, s]) for s, e in intervals]
     if kind == CONC_STD:
         m = len(counts)
         if m <= 1:
@@ -194,33 +198,101 @@ def _bin_bounds(agg: AggregateSet, cfg: BinningConfig):
             for mat, lo, hi in bounds]
 
 
-def _violated_groups(intervals, agg: AggregateSet, cfg: BinningConfig,
-                     pairs: PValuePairs | None):
+@dataclass(frozen=True)
+class _Tables:
+    """What the whole-partition checks and the objective read for one
+    ``(agg, cfg, pairs)``.  Each table is a nested list indexed ``[e][s]``,
+    like the matrix it copies, so scoring a bin is one list lookup."""
+
+    cfg: BinningConfig
+    pairs: PValuePairs | None
+    trends: tuple          # one TrendSpec per rate matrix
+    b_max: int
+    minimize: bool
+    gamma: float           # the penalty weight; 0 when no penalty applies
+    obj: list              # objective value of bin s..e
+    rates: tuple           # one table per rate matrix
+    records: list          # record count of bin s..e, for the penalty
+    bad: list              # how many per-bin count bounds bin s..e breaks
+    bad_matrix: np.ndarray  # the same counts as an (n, n) array
+
+
+def _tables(agg: AggregateSet, cfg: BinningConfig,
+            pairs: PValuePairs | None) -> _Tables:
+    """The tables of ``(agg, cfg, pairs)``.
+
+    The copied matrices are built once per aggregate set, and the bound
+    counts once per set of bound values; both are kept in ``agg.lookups``,
+    so a search, the recheck of its answer and later searches with other
+    trends share them.
+    """
+    memo = agg.lookups
+    if "lists" not in memo:
+        memo["lists"] = (agg.objective_matrix().tolist(),
+                         tuple(mat.tolist() for mat in agg.rate_matrices()),
+                         agg.R.tolist())
+    obj, rates, records = memo["lists"]
+    bounds = _bin_bounds(agg, cfg)
+    key = tuple((lo, hi) for _, lo, hi in bounds)
+    if key not in memo:
+        bad = np.zeros((agg.n, agg.n), dtype=np.intp)
+        for mat, lo, hi in bounds:
+            bad += ~((mat >= lo) & (mat <= hi))
+        memo[key] = (bad.tolist(), bad)
+    bad, bad_matrix = memo[key]
+    return _Tables(
+        cfg=cfg, pairs=pairs, trends=_resolved_trends(agg, cfg),
+        b_max=cfg.max_bins if cfg.max_bins is not None else agg.n,
+        minimize=agg.target.is_continuous,
+        gamma=cfg.gamma if cfg.concentration != CONC_OFF else 0.0,
+        obj=obj, rates=rates, records=records, bad=bad, bad_matrix=bad_matrix)
+
+
+def _violated_groups(intervals, tab: _Tables, bad_bins=None):
     """Yield a positive weight for each constraint group a partition breaks.
 
-    The weights are the bins short of or over the bin-count bounds, and 1
-    for each bin outside each per-bin count bound, for each rate matrix
-    whose trend fails and for a broken p-value separation.  Their sum is the
-    violation count the local search descends on; a bin-bound group yields
-    per bin so that ``evaluate_partition`` stops at the first bad bin.
-    Trends must be concrete.
+    The weights are the bins short of or over the bin-count bounds, the
+    per-bin count bounds each bin breaks, and 1 for each rate matrix whose
+    trend fails and for a broken p-value separation.  Their sum is the
+    violation count the local search descends on; the bin-bound group
+    yields per bin, so that ``evaluate_partition`` stops at the first bad
+    bin, unless the caller passes ``bad_bins``, the group's total that it
+    keeps up to date itself.  Trends must be concrete.
     """
+    cfg = tab.cfg
     m = len(intervals)
-    b_max = cfg.max_bins if cfg.max_bins is not None else agg.n
     if m < cfg.min_bins:
         yield cfg.min_bins - m
-    if m > b_max:
-        yield m - b_max
-    for mat, lo, hi in _bin_bounds(agg, cfg):
+    if m > tab.b_max:
+        yield m - tab.b_max
+    if bad_bins is None:
+        bad = tab.bad
         for s, e in intervals:
-            if not lo <= mat[e, s] <= hi:
-                yield 1
-    for mat, trend in zip(agg.rate_matrices(), _resolved_trends(agg, cfg)):
-        rates = [mat[e, s] for s, e in intervals]
+            if bad[e][s]:
+                yield bad[e][s]
+    elif bad_bins:
+        yield bad_bins
+    for table, trend in zip(tab.rates, tab.trends):
+        rates = [table[e][s] for s, e in intervals]
         if not _trend_feasible(intervals, rates, trend, cfg.min_diff):
             yield 1
-    if not apply_pvalue_constraint(intervals, pairs):
+    if not apply_pvalue_constraint(intervals, tab.pairs):
         yield 1
+
+
+def _objective(intervals, tab: _Tables):
+    """The bins' objective values summed in path order, less (plus, when
+    minimizing) the weighted concentration penalty."""
+    obj = tab.obj
+    total = 0.0
+    for s, e in intervals:
+        total += obj[e][s]
+    if tab.gamma:
+        records = tab.records
+        pen = tab.gamma * _penalty([records[e][s] for s, e in intervals],
+                                   tab.cfg.concentration)
+        total = total + pen if tab.minimize else total - pen
+    return total
 
 
 def evaluate_partition(intervals, agg: AggregateSet, cfg: BinningConfig,
@@ -228,9 +300,9 @@ def evaluate_partition(intervals, agg: AggregateSet, cfg: BinningConfig,
     """Direct whole-partition feasibility check and objective.
 
     Returns (feasible, objective).  This is the reference scorer: it looks at
-    the complete partition with no incremental state, and is what the oracle,
-    the local search, and the returned-solution postcheck all use.  A
-    contiguous cover is feasible when ``_violated_groups`` yields nothing.
+    the complete partition with no incremental state, and is what the
+    returned-solution rechecks of the exact solver and the local search use.
+    A contiguous cover is feasible when ``_violated_groups`` yields nothing.
     Trends must be concrete (auto is resolved before scoring).
     """
     intervals = tuple(intervals)
@@ -239,18 +311,10 @@ def evaluate_partition(intervals, agg: AggregateSet, cfg: BinningConfig,
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
         if e1 + 1 != s2:
             return False, math.nan
-    if next(_violated_groups(intervals, agg, cfg, pairs), 0):
+    tab = _tables(agg, cfg, pairs)
+    if next(_violated_groups(intervals, tab), 0):
         return False, math.nan
-
-    obj_mat = agg.objective_matrix()
-    total = 0.0
-    for s, e in intervals:
-        total += obj_mat[e, s]
-    gamma = cfg.gamma if cfg.concentration != CONC_OFF else 0.0
-    if gamma:
-        pen = gamma * concentration_penalty(intervals, agg.R, cfg.concentration)
-        total = total + pen if agg.target.is_continuous else total - pen
-    return True, total
+    return True, _objective(intervals, tab)
 
 
 # --------------------------------------------------------------------------- #
@@ -438,10 +502,7 @@ def _gate_step(code: int, beta: float, t: int, state, d: float, s: int, e: int):
 
 def _interval_ok(agg: AggregateSet, cfg: BinningConfig, forbidden=None):
     """ok[s, e]: may the bin s..e appear at all (size bounds, presolve mask)?"""
-    n = agg.n
-    ok = np.triu(np.ones((n, n), dtype=bool))
-    for mat, lo, hi in _bin_bounds(agg, cfg):
-        ok &= (mat.T >= lo) & (mat.T <= hi)
+    ok = np.triu(_tables(agg, cfg, None).bad_matrix.T == 0)
     if forbidden:
         starts, ends = zip(*forbidden)
         ok[starts, ends] = False
@@ -745,15 +806,17 @@ def _auto_pick(solve_one, minimize: bool, n_prebins: int) -> Solution:
     ``AUTO_MARGIN`` relative objective, mirroring "prefer the simpler shape
     unless the reversal buys a clearly better fit".  Ties inside each pair:
     fewer bins, then the listed order (descending before ascending, peak
-    before valley).
+    before valley).  With no feasible candidate the result is TIME_LIMIT
+    when some candidate's search ran out of time, else INFEASIBLE.
     """
-    mono = _pick([solve_one(TrendSpec(DESCENDING)), solve_one(TrendSpec(ASCENDING))],
-                 minimize)
-    bent = _pick([solve_one(TrendSpec(PEAK)), solve_one(TrendSpec(VALLEY))],
-                 minimize)
+    sols = [solve_one(TrendSpec(kind))
+            for kind in (DESCENDING, ASCENDING, PEAK, VALLEY)]
+    mono = _pick(sols[:2], minimize)
+    bent = _pick(sols[2:], minimize)
     if mono is None and bent is None:
-        return Solution(status=INFEASIBLE, trend_used=TrendSpec(AUTO),
-                        n_prebins=n_prebins)
+        timed_out = any(sol.status == TIME_LIMIT for sol in sols)
+        return Solution(status=TIME_LIMIT if timed_out else INFEASIBLE,
+                        trend_used=TrendSpec(AUTO), n_prebins=n_prebins)
     if bent is None:
         return mono
     if mono is None:
@@ -787,7 +850,8 @@ def _resolve(agg: AggregateSet, cfg: BinningConfig,
     same way on its own one-vs-rest view (same size and record constraints,
     no other classes), and the joint search then runs with the winners; when
     some class admits no trend at all the joint problem, which only adds
-    constraints, is INFEASIBLE.  ``cfg`` must be validated.
+    constraints, is INFEASIBLE (TIME_LIMIT when that class's searches ran
+    out of time).  ``cfg`` must be validated.
     """
     n = agg.n
     multi = agg.target.is_multiclass
@@ -806,7 +870,7 @@ def _resolve(agg: AggregateSet, cfg: BinningConfig,
         if not multi:
             return won
         if not won.is_feasible:
-            return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
+            return Solution(status=won.status, trend_used=cfg.trend, n_prebins=n)
         trends[c] = won.trend_used
     if multi:
         cfg = with_trend(cfg, tuple(trends))
@@ -871,14 +935,17 @@ def _all_partitions(n: int):
 
 def _enumerate(agg: AggregateSet, cfg: BinningConfig,
                pairs: PValuePairs | None) -> Solution:
-    """The oracle's search for concrete trends: score every partition."""
+    """The oracle's search for concrete trends: score every partition with
+    the checks and objective of ``evaluate_partition``, from tables built
+    once."""
     n = agg.n
     minimize = agg.target.is_continuous
+    tab = _tables(agg, cfg, pairs)
     best = None
     for intervals in _all_partitions(n):
-        feasible, obj = evaluate_partition(intervals, agg, cfg, pairs)
-        if not feasible:
+        if next(_violated_groups(intervals, tab), 0):
             continue
+        obj = _objective(intervals, tab)
         if best is None:
             best = (obj, len(intervals), intervals)
             continue
@@ -909,7 +976,7 @@ def brute_force_oracle(agg: AggregateSet, cfg: BinningConfig,
     """Reference solver: enumerate all 2^(n-1) partitions and score directly.
 
     Independent of the branch-and-bound path: each partition is checked as a
-    whole via evaluate_partition.  Trends are resolved as in solve(), and
+    whole, as evaluate_partition checks it.  Trends are resolved as in solve(), and
     ties are broken the same way.  Only for small n (<= 20).
     """
     validate_config(cfg)

@@ -8,7 +8,7 @@ from binopt import (
     build_binary, build_continuous, build_multiclass, build_prebin_table,
     divergence_contrib, pvalue_pairs, woe,
 )
-from binopt.aggregate import _merge_counts
+from binopt.aggregate import _merge_counts, _pooled_zstat
 from binopt.preprocess import PrebinTable
 
 
@@ -263,6 +263,39 @@ class TestPValuePairs:
         loose = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.5)
         tight = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.01)
         assert loose.pairs <= tight.pairs
+
+
+def _pvalue_pairs_loop(R_ne, R_e, threshold):
+    """Reference: one ``_pooled_zstat`` per (first bin, second bin) pair."""
+    n = R_e.shape[0]
+    found = set()
+    for i in range(n - 1):
+        l = i + 1
+        for j in range(i + 1):
+            for k in range(l, n):
+                z = _pooled_zstat(R_e[i, j], R_ne[i, j], R_e[k, l], R_ne[k, l])
+                if abs(z) < threshold:
+                    found.add((i, j, k, l))
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 76])
+def test_pvalue_pairs_match_a_loop_over_pairs(n):
+    # the first two pre-bins have no events and the last two no non-events:
+    # bins of zero pooled variance, whose z statistic is 0 by rule
+    rng = np.random.default_rng(n)
+    ev = rng.integers(0, 40, n)
+    ne = rng.integers(1, 40, n)
+    ev[:2] = 0
+    ne[-2:] = 0
+    ev[-2:] += 1
+    R_ne, R_e = _merge_counts(ne), _merge_counts(ev)
+    for alpha in (0.01, 0.05, 0.5):
+        pp = pvalue_pairs(R_ne, R_e, alpha)
+        assert pp.pairs == _pvalue_pairs_loop(R_ne, R_e, pp.threshold)
+        assert all(type(v) is int for quad in pp.pairs for v in quad)
+        if n >= 4:
+            assert {(0, 0, 1, 1), (n - 2, n - 2, n - 1, n - 1)} <= pp.pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 13, 76, 200])

@@ -293,6 +293,25 @@ class TestFitExitCodes:
         assert "change_point 50 out of range for" in err
         assert "Traceback" not in err
 
+    def test_time_budget_that_runs_out_is_2_and_named(self, capsys):
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+        code, out, err = run(capsys, [
+            "fit", "--data", golden, "--variable", "num", "--target", "yb",
+            "--solver", "ls", "--time-budget", "0"])
+        assert code == 2
+        assert "time budget of 0.0 s ran out" in err and "--time-budget" in err
+        assert "satisfies the constraints" not in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("budget", ["-1", "nan"])
+    def test_negative_or_nan_time_budget_is_3(self, budget, capsys):
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+        code, _, err = run(capsys, [
+            "fit", "--data", golden, "--variable", "num", "--target", "yb",
+            "--solver", "ls", "--time-budget", budget])
+        assert code == 3
+        assert "time budget must be >= 0" in err
+
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         path = tmp_path / "blank.csv"
         rng = np.random.default_rng(9)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from binopt import (
-    BinningConfig, MalformedEncodingError, TrendSpec,
+    INFEASIBLE, TIME_LIMIT, BinningConfig, InvalidConfigError,
+    MalformedEncodingError, TrendSpec,
     apply_pvalue_constraint, check_trend, decode, encode, evaluate_partition,
-    ls_objective, ls_solve, solve, with_trend,
+    localsearch, ls_objective, ls_solve, solve, with_trend,
 )
-from binopt.solver import _violated_groups
+from binopt.localsearch import _neighbours
+from binopt.solver import _tables, _violated_groups
 
 from helpers import (
     TREND_FAMILIES, binary_agg, continuous_agg, multiclass_agg,
@@ -187,7 +189,62 @@ class TestLsSolve:
         t0 = time.monotonic()
         sol = ls_solve(agg, cfg, seed=0, restarts=10_000, time_limit=0.05)
         assert time.monotonic() - t0 < 2.0
-        assert sol.status in ("feasible", "infeasible")
+        assert sol.status in ("feasible", "infeasible", "time_limit")
+
+    @pytest.mark.parametrize("kind, trend", [
+        ("binary", "peak"), ("binary", "auto"), ("binary", "ascending"),
+        ("multiclass", "auto")])
+    def test_zero_time_limit_is_time_limit_not_infeasible(self, kind, trend):
+        # the exact solver finds these feasible: a search cut off before it
+        # met a feasible partition proves nothing about the constraints
+        rng = np.random.default_rng(70)
+        if kind == "binary":
+            agg = random_binary_agg(rng, 70, high=500)
+        else:
+            agg = multiclass_agg(rng.integers(1, 500, size=(3, 30)))
+        cfg = BinningConfig(min_bins=1, min_bin_size=agg.n_records // 20,
+                            trend=TrendSpec(trend))
+        sol = ls_solve(agg, cfg, seed=0, time_limit=0)
+        assert sol.status == TIME_LIMIT
+        assert not sol.is_feasible and sol.intervals == ()
+        assert sol.trend_used == cfg.trend
+        sol.check_partition()
+        assert solve(agg, cfg).is_feasible
+
+    def test_search_that_ran_to_its_end_stays_infeasible(self):
+        agg = binary_agg([3, 1], [1, 3])
+        cfg = BinningConfig(min_bins=5, trend=TrendSpec("auto"))
+        assert ls_solve(agg, cfg, time_limit=60).status == INFEASIBLE
+
+    @pytest.mark.parametrize("budget", [-1.0, -1e-9, math.nan])
+    def test_negative_or_nan_time_limit_is_a_config_error(self, budget):
+        agg = binary_agg([3, 1], [1, 3])
+        cfg = BinningConfig(min_bins=1, trend=TrendSpec("none"))
+        with pytest.raises(InvalidConfigError, match="time budget"):
+            ls_solve(agg, cfg, time_limit=budget)
+
+    def test_returned_partition_is_rechecked(self, monkeypatch):
+        # one whole-partition recheck per search that returns a partition,
+        # and a disagreeing recheck is an error, not a silent answer
+        agg = binary_agg([5, 2, 7, 1, 4], [2, 6, 3, 5, 4])
+        cfg = BinningConfig(min_bins=2, trend=TrendSpec("auto"))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return evaluate_partition(*args)
+
+        monkeypatch.setattr(localsearch, "evaluate_partition", counting)
+        sol = ls_solve(agg, cfg, seed=1)
+        assert sol.is_feasible and len(calls) == 4 and sol.intervals in calls
+
+        def off_by_one(*args):
+            feasible, obj = evaluate_partition(*args)
+            return feasible, obj + 1.0
+
+        monkeypatch.setattr(localsearch, "evaluate_partition", off_by_one)
+        with pytest.raises(AssertionError, match="recheck"):
+            ls_solve(agg, cfg, seed=1)
 
     @pytest.mark.parametrize("kind", ["binary", "multiclass"])
     def test_time_limit_covers_auto_sub_solves(self, kind):
@@ -252,10 +309,67 @@ def test_violation_count_matches_the_public_checks():
         for _ in range(4):
             bits = rng.random(agg.n - 1) < rng.random()
             intervals = decode([*bits.astype(int), 1]).intervals
-            count = sum(_violated_groups(intervals, agg, cfg, pairs))
+            count = sum(_violated_groups(intervals,
+                                         _tables(agg, cfg, pairs)))
             feasible, _ = evaluate_partition(intervals, agg, cfg, pairs)
             assert feasible == (count == 0), (i, intervals)
             assert count == _independent_count(intervals, agg, cfg, pairs), \
                 (i, intervals)
             counts.append(count)
     assert 0 in counts and max(counts) >= 4
+
+
+def _bit_neighbours(x: list, n: int):
+    """Reference: the encoding's moves, bit flips at 0..n-2 and then each
+    set bit's shift left and right, in that order."""
+    for i in range(n - 1):
+        y = x.copy()
+        y[i] ^= 1
+        yield y
+    for i in range(n - 1):
+        if not x[i]:
+            continue
+        if i > 0 and not x[i - 1]:
+            y = x.copy()
+            y[i] = 0
+            y[i - 1] = 1
+            yield y
+        if i + 1 < n - 1 and not x[i + 1]:
+            y = x.copy()
+            y[i] = 0
+            y[i + 1] = 1
+            yield y
+
+
+def test_neighbour_keys_match_whole_partition_scoring():
+    # every neighbour the search scores from the tables has the key the
+    # whole-partition checks give its decoded partition, bit for bit, and
+    # the neighbours come in the encoding's move order
+    rng = np.random.default_rng(78)
+    families = [f for f in TREND_FAMILIES if f != "auto"]
+    scored = feasible = 0
+    for i in range(360):
+        agg, cfg, pairs = random_instance(rng, families[i % len(families)],
+                                          i % 4)
+        tab = _tables(agg, cfg, pairs)
+        for _ in range(2):
+            x = [*(rng.random(agg.n - 1) < rng.random()).astype(int), 1]
+            intervals = decode(x).intervals
+            bad_bins = sum(tab.bad[e][s] for s, e in intervals)
+            got = list(_neighbours(intervals, bad_bins, tab))
+            want = [decode(y).intervals for y in _bit_neighbours(x, agg.n)]
+            assert [y for _, _, y, _ in got] == want, (i, x)
+            for key, obj, y, y_bad in got:
+                ok, ref_obj = evaluate_partition(y, agg, cfg, pairs)
+                broken = sum(_violated_groups(y, tab))
+                assert ok == (broken == 0)
+                if ok:
+                    sign = -1.0 if agg.target.is_continuous else 1.0
+                    assert key == (1, sign * ref_obj) and obj == ref_obj
+                    assert repr(obj) == repr(ref_obj)
+                    feasible += 1
+                else:
+                    assert key == (0, -float(broken)) and math.isnan(obj)
+                assert y_bad == sum(tab.bad[e][s] for s, e in y)
+                scored += 1
+    assert scored > 5000 and feasible > 500
