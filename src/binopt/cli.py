@@ -35,7 +35,7 @@ from .core import (
 from . import preprocess
 from . import aggregate
 from .solver import solve
-from .localsearch import ls_solve
+from .localsearch import _check_time_limit, ls_solve
 from . import quality as quality_mod
 
 EXIT_OK = 0
@@ -253,9 +253,11 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
 
     Raises InfeasibleError when no partition satisfies the constraints, and
     TimeBudgetError when the local search's budget ran out before it met a
-    feasible one.
+    feasible one.  A negative or NaN budget is an InvalidConfigError for
+    either solver.
     """
     validate_config(cfg)
+    _check_time_limit(time_budget)
     (xc, yc), (xs, ys_special), (xm, ys_missing) = \
         preprocess.split_missing_special(values, target, cfg.special_values)
     if not len(xc):

@@ -147,6 +147,13 @@ def _neighbours(intervals: tuple, bad_bins: int, tab):
         yield (*_score(y, tab, y_bad), y, y_bad)
 
 
+def _check_time_limit(time_limit: float | None) -> None:
+    """Raise InvalidConfigError unless ``time_limit`` is None or >= 0."""
+    if time_limit is not None and not time_limit >= 0:
+        raise InvalidConfigError(
+            ["the time budget must be >= 0 seconds; got {!r}".format(time_limit)])
+
+
 def ls_solve(agg: AggregateSet, cfg: BinningConfig,
              pairs: PValuePairs | None = None, *,
              seed: int = 0, restarts: int = 12, max_moves: int | None = None,
@@ -166,9 +173,7 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
     still to come.
     """
     validate_config(cfg)
-    if time_limit is not None and not time_limit >= 0:
-        raise InvalidConfigError(
-            ["the time budget must be >= 0 seconds; got {!r}".format(time_limit)])
+    _check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     left = _search_count(agg, cfg)
 

@@ -14,15 +14,22 @@ total mean deviation (continuous targets), subject to:
 - an optional concentration penalty (std / HHI / max-min of bin sizes) scaled
   by ``gamma`` and folded into the objective.
 
-The search is a depth-first branch and bound over "next interval" choices with
-incremental trend automata.  It prunes with a completion bound from one
-vectorized interval DP (``_completion_bound``) that enforces the per-bin and
-adjacent-bin constraints and relaxes the rest, and a free peak/valley passes
-the best objective so far to each later change point as a cutoff.  A brute-force
-enumerator with independent whole-partition checks (``brute_force_oracle``)
-provides reference semantics for testing; ties are broken identically in both:
-better objective, then fewer bins, then lexicographically earliest interval
-start vector.
+Monotone and peak/valley trends are read as chains of bin rates (``_chain``),
+and one threshold rule (``_follows``) says whether a rate may follow another:
+the oracle's ``check_trend``, presolve, the completion bound and the search's
+per-bin gates all compare rates through it.
+
+The search is a depth-first branch and bound over "next interval" choices that
+checks each trend bin by bin as the path grows.  It prunes with a completion
+bound from one vectorized interval DP (``_completion_bound``) that enforces the
+per-bin and adjacent-bin constraints and relaxes the rest, and a free
+peak/valley passes the best objective so far to each later change point as a
+cutoff.  A leaf is scored by ``_objective``, as ``evaluate_partition`` scores
+it, and the returned partition's recheck must give the same objective (``==``).
+A brute-force enumerator with independent whole-partition checks
+(``brute_force_oracle``) provides reference semantics for testing; ties are
+broken identically in both: better objective, then fewer bins, then
+lexicographically earliest interval start vector.
 """
 
 from __future__ import annotations
@@ -52,43 +59,63 @@ _POS_INF = float("inf")
 
 
 # --------------------------------------------------------------------------- #
-# whole-sequence trend predicates (the oracle's route)
+# trend chains and whole-sequence trend predicates (the oracle's route)
 # --------------------------------------------------------------------------- #
 
-def _chain_ok(rates, lo: int, hi: int, ascending: bool, min_diff: float) -> bool:
-    """Pairwise monotone chain over rates[lo:hi] with min_diff separation."""
-    for a in range(lo, hi):
-        ra = rates[a]
-        for b in range(a + 1, hi):
-            if ascending:
-                if rates[b] < ra + min_diff - EPS:
-                    return False
-            else:
-                if rates[b] > ra - min_diff + EPS:
-                    return False
-    return True
+def _follows(ref, d, up: bool, beta: float):
+    """May rate ``d`` come after rate ``ref`` in an ascending (``up``) or
+    descending chain with gap ``beta``?  A shortfall of up to ``EPS`` passes.
+    Works the same on floats and, elementwise, on numpy arrays."""
+    return d >= ref + beta - EPS if up else d <= ref - beta + EPS
+
+
+def _chain(trend: TrendSpec, n: int):
+    """A monotone or peak/valley trend over ``n`` pre-bins as
+    ``(first_up, t)``: the bins up to the one holding pre-bin ``t`` form a
+    chain, ascending when ``first_up``, and that bin and the ones after it
+    form the opposite chain.  Monotone trends have ``t = n`` (one chain), a
+    free peak or valley ``t = -1`` (any bin may be the change bin).  None for
+    the other trends."""
+    if trend.kind in (ASCENDING, DESCENDING):
+        return trend.kind == ASCENDING, n
+    if trend.kind in (PEAK, VALLEY):
+        t = trend.change_point
+        return trend.kind == PEAK, -1 if t is None else t
+    return None
+
+
+def _chain_len(rates, up: bool, min_diff: float) -> int:
+    """How many leading rates form a chain, each following every earlier
+    one.  The running maximum (minimum) stands for all earlier rates,
+    because the threshold ``fl(fl(x + min_diff) - EPS)`` is monotone in x."""
+    ref = _NEG_INF if up else _POS_INF
+    for i, d in enumerate(rates):
+        if not _follows(ref, d, up, min_diff):
+            return i
+        if d > ref if up else d < ref:
+            ref = d
+    return len(rates)
 
 
 def check_trend(rates, trend: TrendSpec, min_diff: float = 0.0) -> bool:
     """Does a complete sequence of bin rates satisfy the trend shape?
 
-    Monotone trends are checked pairwise over *all* bin pairs with the
-    ``min_diff`` separation; concave/convex over all index triples (a, b, c):
-    2*rates[b] >= rates[a] + rates[c] for concave (mirrored for convex), with
-    no ``min_diff``.  Peak (valley) holds when some bin p splits the sequence
-    into an ascending chain rates[:p+1] and a descending chain rates[p:]
-    (mirrored), ``min_diff`` applying within each phase; a pinned change point
-    is a solver-side restriction, so here it checks the same shape.
+    Monotone trends need every bin to follow every earlier bin with the
+    ``min_diff`` separation; concave/convex is checked over all index triples
+    (a, b, c): 2*rates[b] >= rates[a] + rates[c] for concave (mirrored for
+    convex), with no ``min_diff``.  Peak (valley) holds when some bin p splits
+    the sequence into an ascending chain rates[:p+1] and a descending chain
+    rates[p:] (mirrored), ``min_diff`` applying within each phase; a pinned
+    change point is a solver-side restriction, so here it checks the same
+    shape.
     """
     rates = list(rates)
     m = len(rates)
     kind = trend.kind
     if kind == TREND_NONE:
         return True
-    if kind == ASCENDING:
-        return _chain_ok(rates, 0, m, True, min_diff)
-    if kind == DESCENDING:
-        return _chain_ok(rates, 0, m, False, min_diff)
+    if kind in (ASCENDING, DESCENDING):
+        return _chain_len(rates, kind == ASCENDING, min_diff) == m
     if kind in (CONCAVE, CONVEX):
         sign = 1.0 if kind == CONCAVE else -1.0
         for b in range(1, m - 1):
@@ -99,12 +126,10 @@ def check_trend(rates, trend: TrendSpec, min_diff: float = 0.0) -> bool:
                         return False
         return True
     if kind in (PEAK, VALLEY):
-        up_first = kind == PEAK
-        for p in range(m):
-            if (_chain_ok(rates, 0, p + 1, up_first, min_diff)
-                    and _chain_ok(rates, p, m, not up_first, min_diff)):
-                return True
-        return False
+        # rates[:p+1] is a chain exactly when p is below the chain prefix length
+        up = kind == PEAK
+        return any(_chain_len(rates[p:], not up, min_diff) == m - p
+                   for p in range(_chain_len(rates, up, min_diff)))
     raise InvalidConfigError(
         ["check_trend needs a concrete trend; got {!r}".format(kind)])
 
@@ -123,15 +148,14 @@ def _trend_feasible(intervals, rates, trend: TrendSpec, min_diff: float) -> bool
         if not intervals or t > intervals[-1][1]:
             return False
         p = _locate_bin(intervals, t)
-        m = len(rates)
-        up_first = trend.kind == PEAK
-        return (_chain_ok(rates, 0, p + 1, up_first, min_diff)
-                and _chain_ok(rates, p, m, not up_first, min_diff))
+        up = trend.kind == PEAK
+        return (p < _chain_len(rates, up, min_diff) and
+                _chain_len(rates[p:], not up, min_diff) == len(rates) - p)
     return check_trend(rates, trend, min_diff)
 
 
 # --------------------------------------------------------------------------- #
-# constraint pieces shared by solver, oracle and postcheck
+# constraint pieces shared by solver, oracle and recheck
 # --------------------------------------------------------------------------- #
 
 def concentration_penalty(intervals, R, kind: str) -> float:
@@ -331,169 +355,82 @@ class PresolveMask:
 def presolve_monotonic(D, trend: TrendSpec, min_diff: float = 0.0) -> PresolveMask:
     """Mask intervals that no monotone-feasible partition can contain.
 
-    For ascending trends, the interval s..e (with e not last) needs its
-    adjacent successor bin's rate at or above its own rate plus ``min_diff``;
-    the best any successor starting at e+1 can offer is max_f D[f, e+1].
-    Symmetrically, a non-first interval needs some predecessor ending at s-1
-    with rate at or below its own minus ``min_diff``; the best available is
-    min_g D[s-1, g].  An interval failing either comparison appears in no
-    feasible solution, so masking it is sound under any constraint mix.
-    Descending is the mirror image.  Empty for other trends.
+    For ascending trends, the interval s..e (with e not last) needs a
+    successor bin whose rate ``_follows`` its own; the best any successor
+    starting at e+1 can offer is max_f D[f, e+1].  Symmetrically, a non-first
+    interval needs a predecessor ending at s-1 whose rate its own follows;
+    the best available is min_g D[s-1, g].  An interval failing either
+    comparison appears in no feasible solution, so masking it is sound under
+    any constraint mix.  Descending is the mirror image.  Empty for other
+    trends.
     """
     if trend.kind not in (ASCENDING, DESCENDING):
         return PresolveMask(forbidden=frozenset())
     n = D.shape[0]
-    asc = trend.kind == ASCENDING
-    # best successor rate after position e; best predecessor rate before s
-    succ_best = np.empty(n)
-    pred_best = np.empty(n)
-    for e in range(n - 1):
-        col = D[e + 1:, e + 1]
-        succ_best[e] = col.max() if asc else col.min()
-    succ_best[n - 1] = _POS_INF if asc else _NEG_INF
-    for s in range(1, n):
-        row = D[s - 1, :s]
-        pred_best[s] = row.min() if asc else row.max()
-    pred_best[0] = _NEG_INF if asc else _POS_INF
-
-    forbidden = set()
-    for s in range(n):
-        for e in range(s, n - 1):
-            d = D[e, s]
-            if asc:
-                dead = (succ_best[e] < d + min_diff - EPS
-                        or pred_best[s] > d - min_diff + EPS)
-            else:
-                dead = (succ_best[e] > d - min_diff + EPS
-                        or pred_best[s] < d + min_diff - EPS)
-            if dead:
-                forbidden.add((s, e))
-        # the last interval has no successor; only the predecessor side applies
-        if s > 0:
-            d = D[n - 1, s]
-            if asc:
-                dead = pred_best[s] > d - min_diff + EPS
-            else:
-                dead = pred_best[s] < d + min_diff - EPS
-            if dead:
-                forbidden.add((s, n - 1))
-    return PresolveMask(forbidden=frozenset(forbidden))
+    up = trend.kind == ASCENDING
+    lo, hi = (_NEG_INF, _POS_INF) if up else (_POS_INF, _NEG_INF)
+    lower = np.tri(n, dtype=bool)                 # D[e, s] is bin s..e
+    # succ[e]: the best rate of a bin starting at e+1 (hi after the last);
+    # pred[s]: the best rate of a bin ending at s-1 (lo before the first)
+    succ = (np.max if up else np.min)(np.where(lower, D, lo), axis=0)
+    pred = (np.min if up else np.max)(np.where(lower, D, hi), axis=1)
+    succ = np.append(succ[1:], hi)
+    pred = np.insert(pred[:-1], 0, lo)
+    dead = lower & ~(_follows(D, succ[:, None], up, min_diff)
+                     & _follows(D, pred[None, :], not up, min_diff))
+    ends, starts = np.nonzero(dead)
+    return PresolveMask(forbidden=frozenset(zip(starts.tolist(), ends.tolist())))
 
 
 # --------------------------------------------------------------------------- #
-# incremental trend gates for the branch and bound
+# per-bin trend gates for the branch and bound
 # --------------------------------------------------------------------------- #
 
-# A gate is (kind_code, min_diff, t); its state is a small tuple.  step()
-# returns the new state or None when the extension kills the trend.
-
-_G_NONE, _G_ASC, _G_DESC, _G_CONCAVE, _G_CONVEX = 0, 1, 2, 3, 4
-_G_PEAK_AUTO, _G_VALLEY_AUTO, _G_PEAK_AT, _G_VALLEY_AT = 5, 6, 7, 8
-
-_GATE_CODE = {
-    TREND_NONE: _G_NONE, ASCENDING: _G_ASC, DESCENDING: _G_DESC,
-    CONCAVE: _G_CONCAVE, CONVEX: _G_CONVEX,
-}
-
-
-def _make_gate(trend: TrendSpec, min_diff: float):
-    """Build (code, beta, t, initial_state) for one rate matrix.
-
-    Peak/valley trends with a pinned change point get the positional gate;
-    free ones run as a two-phase automaton.
-    """
-    kind = trend.kind
-    if kind in (PEAK, VALLEY):
-        first_ref = _NEG_INF if kind == PEAK else _POS_INF
-        if trend.change_point is not None:
-            code = _G_PEAK_AT if kind == PEAK else _G_VALLEY_AT
-            return (code, min_diff, trend.change_point, ("up", first_ref))
-        code = _G_PEAK_AUTO if kind == PEAK else _G_VALLEY_AUTO
-        return (code, min_diff, -1, ("up", first_ref))
-    code = _GATE_CODE[kind]
-    if code == _G_ASC:
-        state = _NEG_INF
-    elif code == _G_DESC:
-        state = _POS_INF
-    elif code == _G_CONCAVE:
-        state = (_NEG_INF, _POS_INF)      # (max rate, min over pairs of 2rb-ra)
-    elif code == _G_CONVEX:
-        state = (_POS_INF, _NEG_INF)      # (min rate, max over pairs of 2rb-ra)
-    else:
-        state = ()                        # unconstrained; must not be None
-    return (code, min_diff, -1, state)
-
-
-def _gate_step(code: int, beta: float, t: int, state, d: float, s: int, e: int):
-    """Advance one gate by a new bin with rate ``d`` spanning s..e."""
-    if code == _G_NONE:
-        return state
-    if code == _G_ASC:
-        if d < state + beta - EPS:
-            return None
-        return d if d > state else state
-    if code == _G_DESC:
-        if d > state - beta + EPS:
-            return None
-        return d if d < state else state
-    if code == _G_CONCAVE:
-        hi, min_pair = state
-        if d > min_pair + EPS:
-            return None
-        if hi == _NEG_INF:                # first bin: no pair formed yet
-            return (d, min_pair)
-        pair = 2.0 * d - hi
-        return (d if d > hi else hi, pair if pair < min_pair else min_pair)
-    if code == _G_CONVEX:
-        lo, max_pair = state
-        if d < max_pair - EPS:
-            return None
-        if lo == _POS_INF:
-            return (d, max_pair)
-        pair = 2.0 * d - lo
-        return (d if d < lo else lo, pair if pair > max_pair else max_pair)
-
-    phase, ref = state
-    up_first = code in (_G_PEAK_AUTO, _G_PEAK_AT)
-    if code in (_G_PEAK_AT, _G_VALLEY_AT):
-        # pinned change point: the bin containing pre-bin t closes the first
-        # phase and opens the second (it belongs to both chains)
-        if phase == "up":
-            ok_first = d >= ref + beta - EPS if up_first else d <= ref - beta + EPS
-            if not ok_first:
-                return None
-            if e >= t:                    # this is the change bin
-                return ("down", d)
-            if up_first:
-                return ("up", d if d > ref else ref)
-            return ("up", d if d < ref else ref)
-        ok_second = d <= ref - beta + EPS if up_first else d >= ref + beta - EPS
-        if not ok_second:
-            return None
-        if up_first:
-            return ("down", d if d < ref else ref)
-        return ("down", d if d > ref else ref)
-
-    # free peak/valley automaton: stay in the first phase as long as the
-    # chain extends; otherwise switch using the previous bin as change bin
-    if phase == "up":
-        if up_first:
-            if d >= ref + beta - EPS:
-                return ("up", d if d > ref else ref)
-            if d <= ref - beta + EPS:
-                return ("down", d)
-            return None
-        if d <= ref - beta + EPS:
-            return ("up", d if d < ref else ref)
-        if d >= ref + beta - EPS:
-            return ("down", d)
+def _gate(trend: TrendSpec, n: int, beta: float):
+    """One rate matrix's trend as ``(step, state)`` for the branch and bound:
+    ``step(state, d, e)`` takes the rate ``d`` of the next bin, which ends at
+    pre-bin ``e``, and returns the next state, or None when no completion of
+    the path can meet the trend.  None for trend none."""
+    if trend.kind == TREND_NONE:
         return None
-    ok = d <= ref - beta + EPS if up_first else d >= ref + beta - EPS
-    if not ok:
-        return None
-    if up_first:
-        return ("down", d if d < ref else ref)
-    return ("down", d if d > ref else ref)
+    chain = _chain(trend, n)
+    if chain is None:
+        sign = 1.0 if trend.kind == CONCAVE else -1.0
+        return partial(_curve_step, sign), (-sign * _POS_INF, None, ())
+    first_up, t = chain
+    return (partial(_chain_step, first_up, t, beta),
+            (False, _NEG_INF if first_up else _POS_INF))
+
+
+def _chain_step(first_up: bool, t: int, beta: float, state, d: float, e: int):
+    """One bin on a ``_chain`` trend.  The state is (in the second chain?, the
+    running maximum or minimum of the current chain).  A free change point
+    falls on the previous bin when ``d`` cannot extend the first chain."""
+    second, ref = state
+    up = first_up != second
+    if _follows(ref, d, up, beta):
+        if not second and 0 <= t <= e:            # the pinned change bin
+            return True, d
+        return second, (max(ref, d) if up else min(ref, d))
+    if t < 0 and not second and _follows(ref, d, not up, beta):
+        return True, d
+    return None
+
+
+def _curve_step(sign: float, state, d: float, e: int):
+    """One bin on a concave (``sign`` 1) or convex (-1) trend, compared in
+    ``check_trend``'s form.  The state is (the highest or lowest rate before
+    the last bin, the last bin's rate, one ``(2*sign*r_b + EPS, that extreme
+    before b)`` pair per middle bin b).  The extreme stands for every rate
+    before b, because rounding ``r_a + d`` is monotone in ``r_a``."""
+    ext, last, mids = state
+    if last is not None:
+        mids += ((2.0 * sign * last + EPS, ext),)
+        ext = max(ext, last) if sign > 0 else min(ext, last)
+    for mid, before in mids:
+        if mid < sign * (before + d):
+            return None
+    return ext, d, mids
 
 
 # --------------------------------------------------------------------------- #
@@ -518,12 +455,13 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     ``p`` (``p`` is 0 when s is 0): the maximum for divergence targets, the
     minimum for continuous ones, and -inf (+inf) when no way exists.  The DP
     enforces the bins allowed by ``ok``, ``max_bins``, and every check between
-    two adjacent bins: p-value separation, and on each rate matrix monotone
-    trends and pinned peaks/valleys with ``min_diff`` and ``EPS`` (weaker
-    than the pairwise chains, as a bound must be).  It relaxes ``min_bins``,
-    concave/convex, free peak/valley automata and the std and max-min
-    penalties.  HHI is folded in exactly: each bin is charged its own
-    ``gamma * R**2 / T**2``.  With nothing relaxed, the bound is the optimum.
+    two adjacent bins: p-value separation, and on each rate matrix with a
+    monotone trend or a pinned peak/valley, that each bin ``_follows`` the
+    one before it in its chain's direction (weaker than whole chains, as a
+    bound must be).  It relaxes ``min_bins``, concave/convex, free
+    peaks/valleys and the std and max-min penalties.  HHI is folded in
+    exactly: each bin is charged its own ``gamma * R**2 / T**2``.  With
+    nothing relaxed, the bound is the optimum.
 
     Table size is (n + 1) * n * (B + 1) with B = ``max_bins``; the ``r`` axis
     has length 1 (any bin count) when ``max_bins`` is None.
@@ -540,19 +478,13 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
         val = val + share if minimize else val - share
     val = np.where(ok, val, worst)
 
-    # adjacent-bin trend checks, one per constrained rate matrix: a bin that
-    # starts at or before t must ascend from its predecessor when first_up,
-    # and descend otherwise; the gates' thresholds, computed the same way
-    beta = cfg.min_diff
-    rules = []
-    for mat, tr in zip(agg.rate_matrices(), trends):
-        if tr.is_monotonic:
-            t, first_up = n, tr.kind == ASCENDING
-        elif tr.kind in (PEAK, VALLEY) and tr.change_point is not None:
-            t, first_up = tr.change_point, tr.kind == PEAK
-        else:
-            continue
-        rules.append((mat, mat + beta - EPS, mat - beta + EPS, t, first_up))
+    # adjacent-bin trend checks on each rate matrix with a positioned chain:
+    # a bin that starts at or before t follows its predecessor in the first
+    # chain's direction, a later bin in the opposite one
+    chains = [(mat,) + chain
+              for mat, chain in zip(agg.rate_matrices(),
+                                    (_chain(tr, n) for tr in trends))
+              if chain is not None and chain[1] >= 0]
     blocked = pairs.by_boundary if pairs is not None else {}
 
     width = cfg.max_bins + 1 if cfg.max_bins is not None else 1
@@ -565,16 +497,13 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
         else:
             w = np.full((n - s, width), worst)
             w[:, 1:] = val[s, s:, None] + tail[:, :-1]
-        if s == 0 or not (rules or s in blocked):
+        if s == 0 or not (chains or s in blocked):
             G[s] = best_of(w, axis=0)
             continue
         allowed = True                            # allowed[p, e - s]
-        for mat, up, down, t, first_up in rules:
-            cur = mat[s:, s]                      # rate of bin s..e
-            if (s <= t) == first_up:              # thresholds of bin p..s-1
-                allowed = allowed & (cur >= up[s - 1, :s, None])
-            else:
-                allowed = allowed & (cur <= down[s - 1, :s, None])
+        for mat, first_up, t in chains:           # bin p..s-1, then bin s..e
+            allowed = allowed & _follows(mat[s - 1, :s, None], mat[s:, s],
+                                         (s <= t) == first_up, cfg.min_diff)
         if s in blocked:
             j, k = blocked[s]
             free = np.ones((s, n - s), dtype=bool)
@@ -598,54 +527,53 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     lexicographically earliest start vector, so ties never replace the
     incumbent.
 
-    A node is dropped when ``_completion_bound`` says no completion exists,
-    or when its path sum plus the bound (less the concentration penalty the
+    Each trend is checked bin by bin as the path grows, by its ``_gate``.  A
+    node is dropped when ``_completion_bound`` says no completion exists, or
+    when its path sum plus the bound (less the concentration penalty the
     path already fixes) is worse than the incumbent by more than a 1e-9
-    relative margin, so a path that could tie is never cut.  Every sum,
-    comparison and tie-break on the surviving paths is done here as before.
-    With a ``cutoff`` only partitions strictly better than it are returned.
+    relative margin, so a path that could tie is never cut.  A leaf is
+    scored by ``_objective``, so its value is the one ``evaluate_partition``
+    gives.  With a ``cutoff`` only partitions strictly better than it are
+    returned.
     """
     n = agg.n
-    R = agg.R
-    obj_mat = agg.objective_matrix()
-    rate_mats = agg.rate_matrices()
-    minimize = agg.target.is_continuous
+    tab = _tables(agg, cfg, pairs)
+    obj, records = tab.obj, tab.records
+    minimize = tab.minimize
     worst = _POS_INF if minimize else _NEG_INF
+    sign = 1.0 if minimize else -1.0              # a larger sign * value is worse
 
     b_min = cfg.min_bins
     b_max = cfg.max_bins
-    gamma = cfg.gamma if cfg.concentration != CONC_OFF else 0.0
+    gamma = tab.gamma
     hhi = gamma and cfg.concentration == CONC_HHI
     maxmin = gamma and cfg.concentration == CONC_MAXMIN
-    total_sq = float(R[n - 1, 0]) ** 2
+    total_sq = records[n - 1][0] ** 2
 
     ends = [[e for e, good in enumerate(row) if good] for row in ok.tolist()]
     G = _completion_bound(agg, cfg, pairs, trends, ok)
 
-    gates = [_make_gate(tr, cfg.min_diff) for tr in trends]
-    init_states = tuple(g[3] for g in gates)
+    gates = []
+    init_states = []
+    for tr, table in zip(trends, tab.rates):
+        gate = _gate(tr, n, cfg.min_diff)
+        if gate is not None:
+            gates.append((gate[0], table))
+            init_states.append(gate[1])
 
     best = {"obj": cutoff, "nbins": 0, "intervals": None}
     path = []
     counts = []                                   # record counts along path
 
-    def leaf(v_sum):
+    def leaf():
         m = len(path)
         if m < b_min:
             return
-        obj = v_sum
-        if gamma:
-            pen = gamma * concentration_penalty(path, R, cfg.concentration)
-            obj = obj + pen if minimize else obj - pen
+        value = _objective(path, tab)
         cur = best["obj"]
-        if cur is None:
-            take = True
-        elif minimize:
-            take = obj < cur or (obj == cur and m < best["nbins"])
-        else:
-            take = obj > cur or (obj == cur and m < best["nbins"])
-        if take:
-            best["obj"] = obj
+        if (cur is None or sign * value < sign * cur
+                or (value == cur and m < best["nbins"])):
+            best["obj"] = value
             best["nbins"] = m
             best["intervals"] = tuple(path)
 
@@ -664,11 +592,8 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
                 fixed = gamma * sum(c * c for c in counts) / total_sq
             elif maxmin and counts:
                 fixed = gamma * (max(counts) - min(counts))
-            slack = 1e-9 * max(1.0, abs(cur))
-            if minimize:
-                if v_sum + bound + fixed > cur + slack:
-                    return
-            elif v_sum + bound - fixed < cur - slack:
+            if (sign * (v_sum + bound) + fixed
+                    > sign * cur + 1e-9 * max(1.0, abs(cur))):
                 return
         prev = path[-1] if path else None
         for e in ends[s]:
@@ -676,23 +601,20 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
                     and pairs.blocks(prev[1], prev[0], e, s)):
                 continue
             new_states = []
-            dead = False
-            for g, st, mat in zip(gates, states, rate_mats):
-                nst = _gate_step(g[0], g[1], g[2], st, mat[e, s], s, e)
-                if nst is None:
-                    dead = True
+            for (step, table), state in zip(gates, states):
+                state = step(state, table[e][s], e)
+                if state is None:
                     break
-                new_states.append(nst)
-            if dead:
-                continue
-            path.append((s, e))
-            counts.append(float(R[e, s]))
-            if e == n - 1:
-                leaf(v_sum + obj_mat[e, s])
+                new_states.append(state)
             else:
-                rec(e + 1, tuple(new_states), v_sum + obj_mat[e, s])
-            path.pop()
-            counts.pop()
+                path.append((s, e))
+                counts.append(records[e][s])
+                if e == n - 1:
+                    leaf()
+                else:
+                    rec(e + 1, new_states, v_sum + obj[e][s])
+                path.pop()
+                counts.pop()
 
     try:
         rec(0, init_states, 0.0)
@@ -701,6 +623,8 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
             ["the exact search over {} pre-bins goes deeper than Python's "
              "recursion limit; use fewer pre-bins, set max_bins or a minimum "
              "bin size, or use --solver ls".format(n)]) from None
+    finally:
+        del rec       # rec refers to itself: free its tables now, not at a full gc
     if best["intervals"] is None:
         return None
     return best["intervals"], best["obj"]
@@ -739,9 +663,10 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
     Presolve masks intervals for monotone trends on event rates (never on
     continuous means).  A peak/valley trend on one rate matrix then runs the
     change-point decomposition; everything else is one branch and bound, in
-    which free peaks/valleys of a multi-class target run as two-phase gates
-    (a per-class change-point product would explode).  A returned partition
-    is rechecked from scratch by ``evaluate_partition``.
+    which the free peaks/valleys of a multi-class target find their change
+    bins bin by bin (a per-class change-point product would explode).  A
+    returned partition is rechecked from scratch by ``evaluate_partition``,
+    which must give the same objective, bit for bit.
     """
     trends = _resolved_trends(agg, cfg)
     forbidden = set()
@@ -759,9 +684,9 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
         return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=agg.n)
     intervals, obj = hit
     feas, recheck = evaluate_partition(intervals, agg, cfg, pairs)
-    if not feas or abs(recheck - obj) > 1e-9 * max(1.0, abs(recheck)):
+    if not feas or recheck != obj:
         raise AssertionError(
-            "solver returned a partition failing its own postcheck: {} obj={} "
+            "solver returned a partition failing its own recheck: {} obj={} "
             "recheck=({}, {})".format(intervals, obj, feas, recheck))
     return Solution(status=OPTIMAL, intervals=intervals, objective=obj,
                     trend_used=cfg.trend, change_point=change_point,

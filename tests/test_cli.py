@@ -303,12 +303,13 @@ class TestFitExitCodes:
         assert "satisfies the constraints" not in err
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("solver", ["exact", "ls"])
     @pytest.mark.parametrize("budget", ["-1", "nan"])
-    def test_negative_or_nan_time_budget_is_3(self, budget, capsys):
+    def test_negative_or_nan_time_budget_is_3(self, budget, solver, capsys):
         golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
         code, _, err = run(capsys, [
             "fit", "--data", golden, "--variable", "num", "--target", "yb",
-            "--solver", "ls", "--time-budget", budget])
+            "--solver", solver, "--time-budget", budget])
         assert code == 3
         assert "time budget must be >= 0" in err
 
