@@ -20,12 +20,12 @@ the oracle's ``check_trend``, presolve, the completion bound and the search's
 per-bin gates all compare rates through it.
 
 The search is a depth-first branch and bound over "next interval" choices that
-checks each trend bin by bin as the path grows.  It prunes with a completion
+checks each trend bin by bin as the path grows; a free peak/valley turns at
+the first bin that cannot extend its first chain.  It prunes with a completion
 bound from one vectorized interval DP (``_completion_bound``) that enforces the
-per-bin and adjacent-bin constraints and relaxes the rest, and a free
-peak/valley passes the best objective so far to each later change point as a
-cutoff.  A leaf is scored by ``_objective``, as ``evaluate_partition`` scores
-it, and the returned partition's recheck must give the same objective (``==``).
+per-bin and adjacent-bin constraints and relaxes the rest.  A leaf is scored
+by ``_objective``, as ``evaluate_partition`` scores it, and the returned
+partition's recheck must give the same objective (``==``).
 A brute-force enumerator with independent whole-partition checks
 (``brute_force_oracle``) provides reference semantics for testing; ties are
 broken identically in both: better objective, then fewer bins, then
@@ -97,6 +97,15 @@ def _chain_len(rates, up: bool, min_diff: float) -> int:
     return len(rates)
 
 
+def _change_bin(rates, up: bool, min_diff: float):
+    """The first bin p that splits the rates into a chain rates[:p+1],
+    ascending when ``up`` (so p is below the chain prefix length), and the
+    opposite chain rates[p:]; None when no bin does."""
+    m = len(rates)
+    return next((p for p in range(_chain_len(rates, up, min_diff))
+                 if _chain_len(rates[p:], not up, min_diff) == m - p), None)
+
+
 def check_trend(rates, trend: TrendSpec, min_diff: float = 0.0) -> bool:
     """Does a complete sequence of bin rates satisfy the trend shape?
 
@@ -126,10 +135,7 @@ def check_trend(rates, trend: TrendSpec, min_diff: float = 0.0) -> bool:
                         return False
         return True
     if kind in (PEAK, VALLEY):
-        # rates[:p+1] is a chain exactly when p is below the chain prefix length
-        up = kind == PEAK
-        return any(_chain_len(rates[p:], not up, min_diff) == m - p
-                   for p in range(_chain_len(rates, up, min_diff)))
+        return _change_bin(rates, kind == PEAK, min_diff) is not None
     raise InvalidConfigError(
         ["check_trend needs a concrete trend; got {!r}".format(kind)])
 
@@ -422,10 +428,14 @@ def _curve_step(sign: float, state, d: float, e: int):
     ``check_trend``'s form.  The state is (the highest or lowest rate before
     the last bin, the last bin's rate, one ``(2*sign*r_b + EPS, that extreme
     before b)`` pair per middle bin b).  The extreme stands for every rate
-    before b, because rounding ``r_a + d`` is monotone in ``r_a``."""
+    before b, and a pair rejects only when a later one with no larger first
+    entry does, because rounding ``r_a + d`` is monotone in ``r_a``."""
     ext, last, mids = state
     if last is not None:
-        mids += ((2.0 * sign * last + EPS, ext),)
+        mid = 2.0 * sign * last + EPS
+        while mids and mids[-1][0] >= mid:
+            mids = mids[:-1]
+        mids += ((mid, ext),)
         ext = max(ext, last) if sign > 0 else min(ext, last)
     for mid, before in mids:
         if mid < sign * (before + d):
@@ -450,26 +460,27 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
                       pairs: PValuePairs | None, trends, ok):
     """Bound on the best completion of every partial partition: an interval DP.
 
-    ``G[s, p, r]`` is the best objective sum over ways to cover pre-bins
+    ``G[s, p, r, ph]`` is the best objective sum over ways to cover pre-bins
     s..n-1 with at most ``r`` bins, right after a bin that starts at pre-bin
-    ``p`` (``p`` is 0 when s is 0): the maximum for divergence targets, the
-    minimum for continuous ones, and -inf (+inf) when no way exists.  The DP
-    enforces the bins allowed by ``ok``, ``max_bins``, and every check between
-    two adjacent bins: p-value separation, and on each rate matrix with a
-    monotone trend or a pinned peak/valley, that each bin ``_follows`` the
-    one before it in its chain's direction (weaker than whole chains, as a
-    bound must be).  It relaxes ``min_bins``, concave/convex, free
-    peaks/valleys and the std and max-min penalties.  HHI is folded in
-    exactly: each bin is charged its own ``gamma * R**2 / T**2``.  With
-    nothing relaxed, the bound is the optimum.
+    ``p`` (``p`` is 0 when s is 0) and has phase ``ph``: the maximum for
+    divergence targets, the minimum for continuous ones, and -inf (+inf) when
+    no way exists.  Bit i of the phase turns from 0 to 1, never back, after
+    the change bin of the i-th free peak/valley.  The DP enforces the bins
+    allowed by ``ok``, ``max_bins``, and every check between two adjacent
+    bins: p-value separation, and on each rate matrix with a monotone or
+    peak/valley trend, that each bin ``_follows`` the one before it in its
+    chain's direction (weaker than whole chains, as a bound must be).  It
+    relaxes ``min_bins``, concave/convex and the std and max-min penalties,
+    and charges each bin its own HHI share ``gamma * R**2 / T**2``, which is
+    exact.  With nothing relaxed, the bound is the optimum.
 
-    Table size is (n + 1) * n * (B + 1) with B = ``max_bins``; the ``r`` axis
-    has length 1 (any bin count) when ``max_bins`` is None.
+    Table size is (n + 1) * n * (B + 1) * 2**f with B = ``max_bins`` and f
+    free peaks/valleys; the ``r`` axis has length 1 when ``max_bins`` is None.
     """
     n = agg.n
     minimize = agg.target.is_continuous
     worst = _POS_INF if minimize else _NEG_INF
-    best_of = np.minimum.reduce if minimize else np.maximum.reduce
+    best_of = np.minimum if minimize else np.maximum
 
     val = agg.objective_matrix().T                # val[s, e]: bin s..e
     if cfg.concentration == CONC_HHI and cfg.gamma:
@@ -478,38 +489,49 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
         val = val + share if minimize else val - share
     val = np.where(ok, val, worst)
 
-    # adjacent-bin trend checks on each rate matrix with a positioned chain:
-    # a bin that starts at or before t follows its predecessor in the first
-    # chain's direction, a later bin in the opposite one
+    # adjacent-bin trend checks on each rate matrix with a chain: a bin
+    # follows its predecessor in the first chain's direction while it starts
+    # at or before a pinned t or has a free chain's phase bit 0
     chains = [(mat,) + chain
               for mat, chain in zip(agg.rate_matrices(),
                                     (_chain(tr, n) for tr in trends))
-              if chain is not None and chain[1] >= 0]
+              if chain is not None]
+    phases = 1 << sum(t < 0 for _, _, t in chains)
     blocked = pairs.by_boundary if pairs is not None else {}
 
     width = cfg.max_bins + 1 if cfg.max_bins is not None else 1
-    G = np.full((n + 1, n, width), worst)
+    G = np.full((n + 1, n, width, phases), worst)
     G[n] = 0.0
     for s in range(n - 1, -1, -1):
         tail = G[s + 1:, s]                       # after bin s..e, for every e
         if width == 1:
-            w = val[s, s:, None] + tail
+            w = val[s, s:, None, None] + tail
         else:
-            w = np.full((n - s, width), worst)
-            w[:, 1:] = val[s, s:, None] + tail[:, :-1]
+            w = np.full((n - s, width, phases), worst)
+            w[:, 1:] = val[s, s:, None, None] + tail[:, :-1]
         if s == 0 or not (chains or s in blocked):
-            G[s] = best_of(w, axis=0)
+            G[s] = best_of.reduce(w[..., :1], axis=0)   # the first bin: phase 0
             continue
-        allowed = True                            # allowed[p, e - s]
+        allowed = [np.ones((s, n - s), dtype=bool) for _ in range(phases)]
+        free = 0                                  # allowed[ph][p, e - s]
         for mat, first_up, t in chains:           # bin p..s-1, then bin s..e
-            allowed = allowed & _follows(mat[s - 1, :s, None], mat[s:, s],
-                                         (s <= t) == first_up, cfg.min_diff)
+            bits = ([s > t] * phases if t >= 0 else
+                    [ph >> free & 1 for ph in range(phases)])
+            free += t < 0
+            ways = {b: _follows(mat[s - 1, :s, None], mat[s:, s],
+                                first_up != b, cfg.min_diff) for b in set(bits)}
+            allowed = [a & ways[b] for a, b in zip(allowed, bits)]
         if s in blocked:
             j, k = blocked[s]
-            free = np.ones((s, n - s), dtype=bool)
-            free[j, k - s] = False
-            allowed = allowed & free
-        G[s, :s] = best_of(np.where(allowed[:, :, None], w, worst), axis=1)
+            for a in allowed:
+                a[j, k - s] = False
+        H = np.stack([best_of.reduce(np.where(a[..., None], w[..., ph], worst),
+                                     axis=1) for ph, a in enumerate(allowed)], -1)
+        # after a bin of phase ph, a bin of any phase holding ph may follow
+        for i in range(free):
+            h = H.reshape(s, width, -1, 2, 1 << i)
+            best_of(h[..., 0, :], h[..., 1, :], out=h[..., 0, :])
+        G[s, :s] = H
     return G
 
 
@@ -518,7 +540,7 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
 # --------------------------------------------------------------------------- #
 
 def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
-                      pairs: PValuePairs | None, trends, ok, cutoff=None):
+                      pairs: PValuePairs | None, trends, ok):
     """Core DFS.  Returns (intervals, objective) of the best feasible
     partition or None.  ``trends`` holds one concrete TrendSpec per rate
     matrix; ``ok`` is the ``_interval_ok`` matrix of bins that may appear at
@@ -531,10 +553,9 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     node is dropped when ``_completion_bound`` says no completion exists, or
     when its path sum plus the bound (less the concentration penalty the
     path already fixes) is worse than the incumbent by more than a 1e-9
-    relative margin, so a path that could tie is never cut.  A leaf is
-    scored by ``_objective``, so its value is the one ``evaluate_partition``
-    gives.  With a ``cutoff`` only partitions strictly better than it are
-    returned.
+    relative margin, so a path that could tie is never cut.  The bound is
+    read at the phase the free peaks/valleys' gates reached, which is sound
+    because phase 0 may still turn.  A leaf is scored by ``_objective``.
     """
     n = agg.n
     tab = _tables(agg, cfg, pairs)
@@ -553,15 +574,16 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     ends = [[e for e, good in enumerate(row) if good] for row in ok.tolist()]
     G = _completion_bound(agg, cfg, pairs, trends, ok)
 
-    gates = []
-    init_states = []
+    gates, init_states, free = [], [], []
     for tr, table in zip(trends, tab.rates):
         gate = _gate(tr, n, cfg.min_diff)
         if gate is not None:
+            if tr.kind in (PEAK, VALLEY) and tr.change_point is None:
+                free.append((len(free), len(gates)))    # (phase bit, gate)
             gates.append((gate[0], table))
             init_states.append(gate[1])
 
-    best = {"obj": cutoff, "nbins": 0, "intervals": None}
+    best = {"obj": None, "nbins": 0, "intervals": None}
     path = []
     counts = []                                   # record counts along path
 
@@ -581,7 +603,8 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
         used = len(path)
         if used + (n - s) < b_min:
             return
-        bound = G[s, path[-1][0] if path else 0, b_max - used if b_max else 0]
+        bound = G[s, path[-1][0] if path else 0, b_max - used if b_max else 0,
+                  sum(states[i][0] << b for b, i in free) if free else 0]
         if bound == worst:
             return
         cur = best["obj"]
@@ -630,43 +653,16 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     return best["intervals"], best["obj"]
 
 
-def _peak_valley(agg, cfg, pairs, trend: TrendSpec, ok):
-    """Fixed-change-point decomposition of peak/valley trends.
-
-    A pinned trend is one positional sub-solve.  A free trend solves each of
-    the n candidate change points and keeps the best objective; among equal
-    objectives the smallest t wins (its sub-solve ran first).  Each later
-    sub-solve gets the best objective so far as its cutoff, since only a
-    strict improvement replaces it.  Returns the best ``_branch_and_bound``
-    hit (or None) and its change point.
-    """
-    if trend.change_point is not None:
-        candidates = [trend.change_point]
-    else:
-        candidates = range(agg.n)
-    best = None
-    best_t = None
-    for t in candidates:
-        pinned = TrendSpec(trend.kind, t)
-        hit = _branch_and_bound(agg, cfg, pairs, (pinned,), ok,
-                                cutoff=None if best is None else best[1])
-        if hit is not None:
-            best = hit
-            best_t = t
-    return best, best_t
-
-
 def _exact_search(agg: AggregateSet, cfg: BinningConfig,
                   pairs: PValuePairs | None, use_presolve: bool = False):
     """The exact search for concrete trends on one or K rate matrices.
 
     Presolve masks intervals for monotone trends on event rates (never on
-    continuous means).  A peak/valley trend on one rate matrix then runs the
-    change-point decomposition; everything else is one branch and bound, in
-    which the free peaks/valleys of a multi-class target find their change
-    bins bin by bin (a per-class change-point product would explode).  A
-    returned partition is rechecked from scratch by ``evaluate_partition``,
-    which must give the same objective, bit for bit.
+    continuous means), then one branch and bound runs.  A returned partition
+    is rechecked from scratch by ``evaluate_partition``, which must give the
+    same objective, bit for bit.  The change point of a single peak/valley
+    is its pin, or else the smallest pin the partition meets: the start of
+    its first change bin.
     """
     trends = _resolved_trends(agg, cfg)
     forbidden = set()
@@ -674,12 +670,8 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
         for mat, tr in zip(agg.rate_matrices(), trends):
             if tr.is_monotonic:
                 forbidden |= presolve_monotonic(mat, tr, cfg.min_diff).forbidden
-    ok = _interval_ok(agg, cfg, forbidden)
-    change_point = None
-    if len(trends) == 1 and trends[0].kind in (PEAK, VALLEY):
-        hit, change_point = _peak_valley(agg, cfg, pairs, trends[0], ok)
-    else:
-        hit = _branch_and_bound(agg, cfg, pairs, trends, ok)
+    hit = _branch_and_bound(agg, cfg, pairs, trends,
+                            _interval_ok(agg, cfg, forbidden))
     if hit is None:
         return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=agg.n)
     intervals, obj = hit
@@ -688,6 +680,13 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
         raise AssertionError(
             "solver returned a partition failing its own recheck: {} obj={} "
             "recheck=({}, {})".format(intervals, obj, feas, recheck))
+    change_point = None
+    if len(trends) == 1 and trends[0].kind in (PEAK, VALLEY):
+        change_point = trends[0].change_point
+        if change_point is None:
+            rates = [agg.rate_matrices()[0][e, s] for s, e in intervals]
+            p = _change_bin(rates, trends[0].kind == PEAK, cfg.min_diff)
+            change_point = intervals[p][0]
     return Solution(status=OPTIMAL, intervals=intervals, objective=obj,
                     trend_used=cfg.trend, change_point=change_point,
                     n_prebins=agg.n)

@@ -69,15 +69,15 @@ def family_trend(family, rng, n):
     return TrendSpec(family)
 
 
-def random_instance(rng, family, flavor, n_max=12):
+def random_instance(rng, family, flavor, n_max=12, n_min=3):
     """One (agg, cfg, pairs) triple with a randomized constraint mix.
 
     ``flavor`` cycles the target kind: 0 binary/iv, 1 binary/jsd,
     2 continuous, 3 multi-class.  The constraint mix spans bin-count bounds,
     record bounds, rate separation, p-value separation (binary only), and
-    every concentration kind.  Tables have 3 to ``n_max`` pre-bins.
+    every concentration kind.  Tables have ``n_min`` to ``n_max`` pre-bins.
     """
-    n = int(rng.integers(3, n_max + 1))
+    n = int(rng.integers(n_min, n_max + 1))
     if flavor == 0:
         agg = random_binary_agg(rng, n, "iv")
     elif flavor == 1:

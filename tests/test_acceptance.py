@@ -118,6 +118,7 @@ def test_a3_exact_solver_matches_oracle(corpus):
         assert r.exact.status == r.oracle.status, (r.family, r.cfg)
         if r.exact.is_feasible:
             assert r.exact.objective == r.oracle.objective, (r.family, r.cfg)
+            assert r.exact.intervals == r.oracle.intervals, (r.family, r.cfg)
     assert elapsed < 300.0, "corpus solve+enumeration took {:.1f}s".format(elapsed)
 
 

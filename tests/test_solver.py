@@ -318,7 +318,7 @@ def _root_bound(agg, cfg, pairs, trends, forbidden=None):
     """The bound on the whole problem: no bin placed yet, max_bins to go."""
     G = _completion_bound(agg, cfg, pairs, trends,
                           _interval_ok(agg, cfg, forbidden))
-    return float(G[0, 0, -1])
+    return float(G[0, 0, -1, 0])
 
 
 def _wide_binary_agg(rng, n):
@@ -343,7 +343,7 @@ def _wide_binary_agg(rng, n):
 
 class TestCompletionBound:
     # every constraint here involves one bin or two adjacent bins
-    DECOMPOSABLE = ("none", "ascending", "descending",
+    DECOMPOSABLE = ("none", "ascending", "descending", "peak", "valley",
                     "peak:pinned", "valley:pinned")
 
     def test_exact_when_nothing_is_relaxed(self):
@@ -366,6 +366,26 @@ class TestCompletionBound:
                 else:
                     no_way = math.inf if agg.target.is_continuous else -math.inf
                     assert root == no_way, (family, i)
+
+    def test_exact_beyond_the_oracle(self):
+        # the oracle stops at n = 20: here the bound, one DP over adjacent
+        # bins, and the search, a DFS over whole chains, must meet
+        rng = np.random.default_rng(2013)
+        for i in range(70):
+            family = self.DECOMPOSABLE[i % len(self.DECOMPOSABLE)]
+            agg, cfg, pairs = random_instance(rng, family, i % 4, n_max=40,
+                                              n_min=13)
+            cfg = replace(cfg, min_bins=1)
+            if cfg.concentration in ("std", "maxmin"):
+                cfg = replace(cfg, concentration="off", gamma=0.0)
+            root = _root_bound(agg, cfg, pairs, _resolved_trends(agg, cfg))
+            got = solve(agg, cfg, pairs, use_presolve=True)
+            if got.is_feasible:
+                assert root == pytest.approx(got.objective, rel=1e-12), \
+                    (family, i)
+            else:
+                assert root == (math.inf if agg.target.is_continuous
+                                else -math.inf), (family, i)
 
     def test_relaxation_everywhere_else(self):
         rng = np.random.default_rng(2006)
@@ -444,25 +464,29 @@ class TestPeakValley:
         assert sol.objective == pytest.approx(
             brute_force_oracle(agg, cfg).objective)
 
-    def test_free_change_point_is_the_smallest_optimal_pin(self):
-        # later change points get the best objective so far as a cutoff and
-        # must not take over on a tie
-        rng = np.random.default_rng(4242)
-        for i in range(60):
-            family = ("peak", "valley")[i % 2]
-            agg, cfg, pairs = random_instance(rng, family, i % 3)
-            free = solve_peak_valley(agg, cfg, pairs)
-            pins = [solve_peak_valley(
-                agg, with_trend(cfg, TrendSpec(family, t)), pairs)
-                for t in range(agg.n)]
-            best = [t for t, p in enumerate(pins)
-                    if p.is_feasible and p.objective == free.objective]
-            if not free.is_feasible:
-                assert not best
-                continue
-            assert free.change_point == best[0], (family, i)
-            assert free.intervals == pins[best[0]].intervals, (family, i)
-
+    def test_free_ties_follow_the_oracle(self):
+        # tied optima: fewer bins, then the earliest starts, as the oracle
+        # breaks them, whatever change bin each partition turns at; the
+        # change point is the smallest pin that keeps the returned partition
+        rng = np.random.default_rng(1)
+        cases = [(binary_agg([2, 1, 2, 1, 2], [2, 1, 1, 2, 1]), "valley")]
+        for i in range(1000):
+            n = int(rng.integers(3, 7))
+            cases.append((binary_agg(rng.integers(1, 3, n),
+                                     rng.integers(1, 3, n)),
+                          ("peak", "valley")[i % 2]))
+        for i, (agg, kind) in enumerate(cases):
+            cfg = BinningConfig(min_bins=1, trend=TrendSpec(kind))
+            got = solve(agg, cfg)
+            ref = brute_force_oracle(agg, cfg)
+            assert got.status == ref.status, i
+            assert got.intervals == ref.intervals, i
+            assert got.objective == ref.objective, i
+            if got.is_feasible:
+                pinned = solve(agg, with_trend(
+                    cfg, TrendSpec(kind, got.change_point)))
+                assert pinned.intervals == got.intervals, i
+                assert pinned.objective == got.objective, i
     def test_pinned_change_point_restricts(self):
         agg = binary_agg([8, 2, 8], [2, 8, 2])
         pinned = BinningConfig(min_bins=1, trend=TrendSpec("peak", 0))
