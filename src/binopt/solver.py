@@ -512,7 +512,7 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
         if s == 0 or not (chains or s in blocked):
             G[s] = best_of.reduce(w[..., :1], axis=0)   # the first bin: phase 0
             continue
-        allowed = [np.ones((s, n - s), dtype=bool) for _ in range(phases)]
+        allowed = [True] * phases
         free = 0                                  # allowed[ph][p, e - s]
         for mat, first_up, t in chains:           # bin p..s-1, then bin s..e
             bits = ([s > t] * phases if t >= 0 else
@@ -523,15 +523,16 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
             allowed = [a & ways[b] for a, b in zip(allowed, bits)]
         if s in blocked:
             j, k = blocked[s]
-            for a in allowed:
-                a[j, k - s] = False
-        H = np.stack([best_of.reduce(np.where(a[..., None], w[..., ph], worst),
-                                     axis=1) for ph, a in enumerate(allowed)], -1)
+            gap = np.ones((s, n - s), dtype=bool)
+            gap[j, k - s] = False
+            allowed = [a & gap for a in allowed]
+        for ph, a in enumerate(allowed):
+            G[s, :s, :, ph] = best_of.reduce(
+                np.where(a[..., None], w[..., ph], worst), axis=1)
         # after a bin of phase ph, a bin of any phase holding ph may follow
         for i in range(free):
-            h = H.reshape(s, width, -1, 2, 1 << i)
+            h = G[s, :s].reshape(s, width, -1, 2, 1 << i)
             best_of(h[..., 0, :], h[..., 1, :], out=h[..., 0, :])
-        G[s, :s] = H
     return G
 
 

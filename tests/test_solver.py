@@ -342,7 +342,8 @@ def _wide_binary_agg(rng, n):
 
 
 class TestCompletionBound:
-    # every constraint here involves one bin or two adjacent bins
+    # every constraint here involves one bin or two adjacent bins, and for a
+    # free peak/valley the phase the bound carries
     DECOMPOSABLE = ("none", "ascending", "descending", "peak", "valley",
                     "peak:pinned", "valley:pinned")
 
@@ -487,6 +488,11 @@ class TestPeakValley:
                     cfg, TrendSpec(kind, got.change_point)))
                 assert pinned.intervals == got.intervals, i
                 assert pinned.objective == got.objective, i
+                smaller = [with_trend(cfg, TrendSpec(kind, t))
+                           for t in range(got.change_point)]
+                assert not any(evaluate_partition(got.intervals, agg, c)[0]
+                               for c in smaller), i
+
     def test_pinned_change_point_restricts(self):
         agg = binary_agg([8, 2, 8], [2, 8, 2])
         pinned = BinningConfig(min_bins=1, trend=TrendSpec("peak", 0))

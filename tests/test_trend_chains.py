@@ -130,6 +130,16 @@ def test_curvature_gate_takes_the_oracles_ties(kind, rates, min_diff):
     assert _gate_accepts(rates, intervals, TrendSpec(kind), min_diff)
 
 
+@pytest.mark.parametrize("kind, sign", [("concave", 1), ("convex", -1)])
+def test_curvature_gate_keeps_pairs_that_may_still_reject(kind, sign):
+    # bin 1's pair rejects the last rate and bin 2's, whose rate is half an
+    # EPS further out, does not: bin 1's pair must outlive bin 2
+    rates = [0.3, 0.3, 0.3 + sign * EPS / 2, 0.3 + sign * 1.5 * EPS]
+    intervals = tuple((i, i) for i in range(len(rates)))
+    assert not check_trend(rates, TrendSpec(kind))
+    assert not _gate_accepts(rates, intervals, TrendSpec(kind), 0.0)
+
+
 @st.composite
 def _binned_rates(draw, family):
     """Bins of 1-3 pre-bins whose rates sit on a lattice of EPS, EPS/2 or
