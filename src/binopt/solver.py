@@ -97,13 +97,17 @@ def _chain_len(rates, up: bool, min_diff: float) -> int:
     return len(rates)
 
 
+def _splits(rates, p: int, up: bool, min_diff: float) -> bool:
+    """Does bin p split the rates into a chain rates[:p+1], ascending when
+    ``up``, and the opposite chain rates[p:]?"""
+    return (p < _chain_len(rates, up, min_diff)
+            and _chain_len(rates[p:], not up, min_diff) == len(rates) - p)
+
+
 def _change_bin(rates, up: bool, min_diff: float):
-    """The first bin p that splits the rates into a chain rates[:p+1],
-    ascending when ``up`` (so p is below the chain prefix length), and the
-    opposite chain rates[p:]; None when no bin does."""
-    m = len(rates)
-    return next((p for p in range(_chain_len(rates, up, min_diff))
-                 if _chain_len(rates[p:], not up, min_diff) == m - p), None)
+    """The first bin that ``_splits`` the rates; None when no bin does."""
+    return next((p for p in range(len(rates))
+                 if _splits(rates, p, up, min_diff)), None)
 
 
 def check_trend(rates, trend: TrendSpec, min_diff: float = 0.0) -> bool:
@@ -153,10 +157,8 @@ def _trend_feasible(intervals, rates, trend: TrendSpec, min_diff: float) -> bool
         t = trend.change_point
         if not intervals or t > intervals[-1][1]:
             return False
-        p = _locate_bin(intervals, t)
-        up = trend.kind == PEAK
-        return (p < _chain_len(rates, up, min_diff) and
-                _chain_len(rates[p:], not up, min_diff) == len(rates) - p)
+        return _splits(rates, _locate_bin(intervals, t), trend.kind == PEAK,
+                       min_diff)
     return check_trend(rates, trend, min_diff)
 
 
@@ -428,14 +430,10 @@ def _curve_step(sign: float, state, d: float, e: int):
     ``check_trend``'s form.  The state is (the highest or lowest rate before
     the last bin, the last bin's rate, one ``(2*sign*r_b + EPS, that extreme
     before b)`` pair per middle bin b).  The extreme stands for every rate
-    before b, and a pair rejects only when a later one with no larger first
-    entry does, because rounding ``r_a + d`` is monotone in ``r_a``."""
+    before b, because rounding ``r_a + d`` is monotone in ``r_a``."""
     ext, last, mids = state
     if last is not None:
-        mid = 2.0 * sign * last + EPS
-        while mids and mids[-1][0] >= mid:
-            mids = mids[:-1]
-        mids += ((mid, ext),)
+        mids += ((2.0 * sign * last + EPS, ext),)
         ext = max(ext, last) if sign > 0 else min(ext, last)
     for mid, before in mids:
         if mid < sign * (before + d):
@@ -446,6 +444,21 @@ def _curve_step(sign: float, state, d: float, e: int):
 # --------------------------------------------------------------------------- #
 # the completion bound
 # --------------------------------------------------------------------------- #
+
+# The completion bound follows the change bins of at most this many free
+# peaks/valleys, since its table doubles with each, and relaxes the others.
+_PHASE_BITS = 2
+
+
+def _bound_chains(trends, n: int):
+    """Each trend's ``_chain`` as the completion bound enforces it: None for
+    the trends without one and the free peaks/valleys it relaxes."""
+    chains = [_chain(tr, n) for tr in trends]
+    free = [i for i, chain in enumerate(chains) if chain and chain[1] < 0]
+    for i in free[_PHASE_BITS:]:
+        chains[i] = None
+    return chains
+
 
 def _interval_ok(agg: AggregateSet, cfg: BinningConfig, forbidden=None):
     """ok[s, e]: may the bin s..e appear at all (size bounds, presolve mask)?"""
@@ -465,17 +478,19 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     ``p`` (``p`` is 0 when s is 0) and has phase ``ph``: the maximum for
     divergence targets, the minimum for continuous ones, and -inf (+inf) when
     no way exists.  Bit i of the phase turns from 0 to 1, never back, after
-    the change bin of the i-th free peak/valley.  The DP enforces the bins
-    allowed by ``ok``, ``max_bins``, and every check between two adjacent
-    bins: p-value separation, and on each rate matrix with a monotone or
-    peak/valley trend, that each bin ``_follows`` the one before it in its
-    chain's direction (weaker than whole chains, as a bound must be).  It
-    relaxes ``min_bins``, concave/convex and the std and max-min penalties,
-    and charges each bin its own HHI share ``gamma * R**2 / T**2``, which is
-    exact.  With nothing relaxed, the bound is the optimum.
+    the change bin of the i-th free peak/valley that ``_bound_chains``
+    keeps.  The DP enforces the bins allowed by ``ok``, ``max_bins``, and
+    every check between two adjacent bins: p-value separation, and on each
+    rate matrix with a kept chain, that each bin ``_follows`` the one before
+    it in its chain's direction (weaker than whole chains, as a bound must
+    be).  It relaxes ``min_bins``, concave/convex, the free peaks/valleys
+    beyond ``_PHASE_BITS`` and the std and max-min penalties, and charges
+    each bin its own HHI share ``gamma * R**2 / T**2``, which is exact.
+    With nothing relaxed, the bound is the optimum.
 
     Table size is (n + 1) * n * (B + 1) * 2**f with B = ``max_bins`` and f
-    free peaks/valleys; the ``r`` axis has length 1 when ``max_bins`` is None.
+    kept free peaks/valleys; the ``r`` axis has length 1 when ``max_bins``
+    is None.
     """
     n = agg.n
     minimize = agg.target.is_continuous
@@ -493,8 +508,7 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     # follows its predecessor in the first chain's direction while it starts
     # at or before a pinned t or has a free chain's phase bit 0
     chains = [(mat,) + chain
-              for mat, chain in zip(agg.rate_matrices(),
-                                    (_chain(tr, n) for tr in trends))
+              for mat, chain in zip(agg.rate_matrices(), _bound_chains(trends, n))
               if chain is not None]
     phases = 1 << sum(t < 0 for _, _, t in chains)
     blocked = pairs.by_boundary if pairs is not None else {}
@@ -555,8 +569,8 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     when its path sum plus the bound (less the concentration penalty the
     path already fixes) is worse than the incumbent by more than a 1e-9
     relative margin, so a path that could tie is never cut.  The bound is
-    read at the phase the free peaks/valleys' gates reached, which is sound
-    because phase 0 may still turn.  A leaf is scored by ``_objective``.
+    read at the phase the gates of the free peaks/valleys it keeps reached,
+    which is sound because phase 0 may still turn.  A leaf is scored by ``_objective``.
     """
     n = agg.n
     tab = _tables(agg, cfg, pairs)
@@ -576,10 +590,10 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     G = _completion_bound(agg, cfg, pairs, trends, ok)
 
     gates, init_states, free = [], [], []
-    for tr, table in zip(trends, tab.rates):
+    for tr, table, chain in zip(trends, tab.rates, _bound_chains(trends, n)):
         gate = _gate(tr, n, cfg.min_diff)
         if gate is not None:
-            if tr.kind in (PEAK, VALLEY) and tr.change_point is None:
+            if chain and chain[1] < 0:
                 free.append((len(free), len(gates)))    # (phase bit, gate)
             gates.append((gate[0], table))
             init_states.append(gate[1])
@@ -703,24 +717,9 @@ AUTO_MARGIN = 0.10
 
 def _pick(solutions, minimize: bool):
     """Best of a candidate list: objective, then fewer bins, then list order."""
-    best = None
-    for sol in solutions:
-        if sol is None or not sol.is_feasible:
-            continue
-        if best is None:
-            best = sol
-            continue
-        if minimize:
-            better = (sol.objective < best.objective
-                      or (sol.objective == best.objective
-                          and sol.n_bins < best.n_bins))
-        else:
-            better = (sol.objective > best.objective
-                      or (sol.objective == best.objective
-                          and sol.n_bins < best.n_bins))
-        if better:
-            best = sol
-    return best
+    sign = 1.0 if minimize else -1.0
+    return min((sol for sol in solutions if sol is not None and sol.is_feasible),
+               key=lambda sol: (sign * sol.objective, sol.n_bins), default=None)
 
 
 def _auto_pick(solve_one, minimize: bool, n_prebins: int) -> Solution:
@@ -864,34 +863,20 @@ def _enumerate(agg: AggregateSet, cfg: BinningConfig,
     the checks and objective of ``evaluate_partition``, from tables built
     once."""
     n = agg.n
-    minimize = agg.target.is_continuous
     tab = _tables(agg, cfg, pairs)
+    sign = 1.0 if agg.target.is_continuous else -1.0
     best = None
     for intervals in _all_partitions(n):
         if next(_violated_groups(intervals, tab), 0):
             continue
         obj = _objective(intervals, tab)
-        if best is None:
-            best = (obj, len(intervals), intervals)
-            continue
-        b_obj, b_m, b_iv = best
-        starts = tuple(s for s, _ in intervals)
-        b_starts = tuple(s for s, _ in b_iv)
-        if minimize:
-            better = (obj < b_obj
-                      or (obj == b_obj and len(intervals) < b_m)
-                      or (obj == b_obj and len(intervals) == b_m
-                          and starts < b_starts))
-        else:
-            better = (obj > b_obj
-                      or (obj == b_obj and len(intervals) < b_m)
-                      or (obj == b_obj and len(intervals) == b_m
-                          and starts < b_starts))
-        if better:
-            best = (obj, len(intervals), intervals)
+        # better objective, then fewer bins, then earlier starts
+        key = (sign * obj, len(intervals), tuple(s for s, _ in intervals))
+        if best is None or key < best[0]:
+            best = (key, obj, intervals)
     if best is None:
         return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
-    obj, _, intervals = best
+    _, obj, intervals = best
     return Solution(status=OPTIMAL, intervals=intervals, objective=obj,
                     trend_used=cfg.trend, n_prebins=n)
 
