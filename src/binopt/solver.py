@@ -526,25 +526,28 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
         if s == 0 or not (chains or s in blocked):
             G[s] = best_of.reduce(w[..., :1], axis=0)   # the first bin: phase 0
             continue
-        allowed = [True] * phases
-        free = 0                                  # allowed[ph][p, e - s]
+        allowed = True                            # allowed[p, e - s]
+        turns = []                                # per free chain: by its bit
         for mat, first_up, t in chains:           # bin p..s-1, then bin s..e
-            bits = ([s > t] * phases if t >= 0 else
-                    [ph >> free & 1 for ph in range(phases)])
-            free += t < 0
-            ways = {b: _follows(mat[s - 1, :s, None], mat[s:, s],
-                                first_up != b, cfg.min_diff) for b in set(bits)}
-            allowed = [a & ways[b] for a, b in zip(allowed, bits)]
+            ways = [_follows(mat[s - 1, :s, None], mat[s:, s], first_up != b,
+                             cfg.min_diff) for b in ((s > t,) if t >= 0 else (0, 1))]
+            if t >= 0:
+                allowed = allowed & ways[0]
+            else:
+                turns.append(ways)
         if s in blocked:
             j, k = blocked[s]
             gap = np.ones((s, n - s), dtype=bool)
             gap[j, k - s] = False
-            allowed = [a & gap for a in allowed]
-        for ph, a in enumerate(allowed):
+            allowed = allowed & gap
+        for ph in range(phases):
+            a = allowed
+            for i, ways in enumerate(turns):
+                a = a & ways[ph >> i & 1]
             G[s, :s, :, ph] = best_of.reduce(
                 np.where(a[..., None], w[..., ph], worst), axis=1)
         # after a bin of phase ph, a bin of any phase holding ph may follow
-        for i in range(free):
+        for i in range(len(turns)):
             h = G[s, :s].reshape(s, width, -1, 2, 1 << i)
             best_of(h[..., 0, :], h[..., 1, :], out=h[..., 0, :])
     return G
