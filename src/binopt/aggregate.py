@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import TargetKind, ZeroCountError, DIV_IV, DIV_JSD
 from .preprocess import PrebinTable, refine_prebins_multiclass
@@ -261,6 +260,8 @@ def pvalue_pairs(R_ne: TriMatrix, R_e: TriMatrix, alpha: float) -> PValuePairs:
     quantile for ``alpha`` two-sided, i.e. the rates are insufficiently
     separated (p-value above alpha).
     """
+    from scipy.special import ndtri     # here, so that importing binopt skips scipy
+
     threshold = float(ndtri(1.0 - alpha / 2.0))
     n = R_e.shape[0]
     found = set()

@@ -8,6 +8,7 @@ are 0-based everywhere.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, asdict, replace
 
@@ -227,6 +228,11 @@ def _is_count(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
 
 
+def _is_nonneg_finite(x) -> bool:
+    """Is ``x`` a real number in [0, inf)?  NaN and inf are not."""
+    return isinstance(x, numbers.Real) and 0 <= x < math.inf
+
+
 def validate_config(config: BinningConfig) -> BinningConfig:
     """Check every invariant and return the config unchanged.
 
@@ -258,13 +264,15 @@ def validate_config(config: BinningConfig) -> BinningConfig:
         if lo is not None and hi is not None and _is_count(lo) and _is_count(hi) and lo > hi:
             bad.append("{} must be <= {}; got {} > {}".format(lo_name, hi_name, lo, hi))
 
-    if not isinstance(config.min_diff, numbers.Real) or config.min_diff < 0:
-        bad.append("min_diff must be a real number >= 0; got {!r}".format(config.min_diff))
+    if not _is_nonneg_finite(config.min_diff):
+        bad.append("min_diff must be a finite real number >= 0; got {!r}"
+                   .format(config.min_diff))
     if config.concentration not in _CONC_KINDS:
         bad.append("concentration must be one of {}; got {!r}"
                    .format(", ".join(_CONC_KINDS), config.concentration))
-    if not isinstance(config.gamma, numbers.Real) or config.gamma < 0:
-        bad.append("gamma must be a real number >= 0; got {!r}".format(config.gamma))
+    if not _is_nonneg_finite(config.gamma):
+        bad.append("gamma must be a finite real number >= 0; got {!r}"
+                   .format(config.gamma))
     if config.max_pvalue is not None:
         if not isinstance(config.max_pvalue, numbers.Real) or not 0 < config.max_pvalue <= 1:
             bad.append("max_pvalue must be in (0, 1] or None; got {!r}"
@@ -431,6 +439,8 @@ class BinningModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinningModel":
+        if not isinstance(d, dict):
+            raise InputError("malformed model file: not a JSON object")
         if d.get("format_version") != _MODEL_FORMAT_VERSION:
             raise InputError("unsupported model format version {!r}"
                              .format(d.get("format_version")))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (
     BinningConfig, Solution, InvalidConfigError, MalformedEncodingError,
-    validate_config, FEASIBLE, INFEASIBLE, TIME_LIMIT,
+    validate_config, _is_count, FEASIBLE, INFEASIBLE, TIME_LIMIT,
 )
 from .aggregate import AggregateSet, PValuePairs
 from .solver import (
@@ -174,6 +174,9 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
     """
     validate_config(cfg)
     _check_time_limit(time_limit)
+    if not _is_count(seed):
+        raise InvalidConfigError(
+            ["the seed must be a nonnegative integer; got {!r}".format(seed)])
     deadline = None if time_limit is None else time.monotonic() + time_limit
     left = _search_count(agg, cfg)
 

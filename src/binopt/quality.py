@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import ndtr
-
 from .aggregate import _pooled_zstat
 
 # divergence band considered healthy for a predictive grouping
@@ -63,6 +61,8 @@ def iv_label(iv: float) -> str:
 
 def adjacent_pvalues(nonevents, events) -> tuple:
     """Two-sided pooled two-proportion p-values for consecutive bin pairs."""
+    from scipy.special import ndtr      # here, so that importing binopt skips scipy
+
     nonevents = [float(v) for v in nonevents]
     events = [float(v) for v in events]
     if len(nonevents) != len(events):

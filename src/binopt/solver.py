@@ -559,13 +559,18 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
 
 def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
                       pairs: PValuePairs | None, trends, ok):
-    """Core DFS.  Returns (intervals, objective) of the best feasible
-    partition or None.  ``trends`` holds one concrete TrendSpec per rate
-    matrix; ``ok`` is the ``_interval_ok`` matrix of bins that may appear at
-    all.  Exploration order (interval end ascending at every level) makes
-    the first solution found among objective/bin-count ties the
-    lexicographically earliest start vector, so ties never replace the
-    incumbent.
+    """Depth-first search on an explicit stack, so a table of any depth
+    solves.  Returns (intervals, objective) of the best feasible partition
+    or None.  ``trends`` holds one concrete TrendSpec per rate matrix;
+    ``ok`` is the ``_interval_ok`` matrix of bins that may appear at all.
+
+    A stack frame is a node: the start of its next bin, its gate states, its
+    path sum and the iterator over its next bin's ends, None until the node
+    is first visited.  A node pushed back under a child resumes that
+    iterator when the child is done.  Exploration order (interval end
+    ascending at every level) makes the first solution found among
+    objective/bin-count ties the lexicographically earliest start vector,
+    so ties never replace the incumbent.
 
     Each trend is checked bin by bin as the path grows, by its ``_gate``.  A
     node is dropped when ``_completion_bound`` says no completion exists, or
@@ -601,43 +606,36 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
             gates.append((gate[0], table))
             init_states.append(gate[1])
 
-    best = {"obj": None, "nbins": 0, "intervals": None}
-    path = []
-    counts = []                                   # record counts along path
-
-    def leaf():
-        m = len(path)
-        if m < b_min:
-            return
-        value = _objective(path, tab)
-        cur = best["obj"]
-        if (cur is None or sign * value < sign * cur
-                or (value == cur and m < best["nbins"])):
-            best["obj"] = value
-            best["nbins"] = m
-            best["intervals"] = tuple(path)
-
-    def rec(s, states, v_sum):
-        used = len(path)
-        if used + (n - s) < b_min:
-            return
-        bound = G[s, path[-1][0] if path else 0, b_max - used if b_max else 0,
-                  sum(states[i][0] << b for b, i in free) if free else 0]
-        if bound == worst:
-            return
-        cur = best["obj"]
-        if cur is not None:
-            # the part of the penalty that the bins on the path already fix
-            fixed = 0.0
-            if hhi:
-                fixed = gamma * sum(c * c for c in counts) / total_sq
-            elif maxmin and counts:
-                fixed = gamma * (max(counts) - min(counts))
-            if (sign * (v_sum + bound) + fixed
-                    > sign * cur + 1e-9 * max(1.0, abs(cur))):
-                return
+    path, counts = [], []                         # the bins and their record counts
+    incumbent = None                              # (intervals, objective)
+    stack = [(0, init_states, 0.0, None)]         # (start, states, path sum, children)
+    while stack:
+        s, states, v_sum, children = stack.pop()
+        if children is None:                      # first visit: may the node be cut?
+            used = len(path)
+            if used + (n - s) < b_min:
+                continue
+            bound = G[s, path[-1][0] if path else 0, b_max - used if b_max else 0,
+                      sum(states[i][0] << b for b, i in free) if free else 0]
+            if bound == worst:
+                continue
+            if incumbent is not None:
+                cur = incumbent[1]
+                # the part of the penalty that the bins on the path already fix
+                fixed = 0.0
+                if hhi:
+                    fixed = gamma * sum(c * c for c in counts) / total_sq
+                elif maxmin and counts:
+                    fixed = gamma * (max(counts) - min(counts))
+                if (sign * (v_sum + bound) + fixed
+                        > sign * cur + 1e-9 * max(1.0, abs(cur))):
+                    continue
+            children = iter(ends[s])
+        else:                                     # a child returned: drop its bin
+            path.pop()
+            counts.pop()
         prev = path[-1] if path else None
-        for e in ends[s]:
+        for e in children:
             if (pairs is not None and prev is not None
                     and pairs.blocks(prev[1], prev[0], e, s)):
                 continue
@@ -648,27 +646,20 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
                     break
                 new_states.append(state)
             else:
-                path.append((s, e))
-                counts.append(records[e][s])
-                if e == n - 1:
-                    leaf()
-                else:
-                    rec(e + 1, new_states, v_sum + obj[e][s])
-                path.pop()
-                counts.pop()
-
-    try:
-        rec(0, init_states, 0.0)
-    except RecursionError:
-        raise InvalidConfigError(
-            ["the exact search over {} pre-bins goes deeper than Python's "
-             "recursion limit; use fewer pre-bins, set max_bins or a minimum "
-             "bin size, or use --solver ls".format(n)]) from None
-    finally:
-        del rec       # rec refers to itself: free its tables now, not at a full gc
-    if best["intervals"] is None:
-        return None
-    return best["intervals"], best["obj"]
+                if e < n - 1:
+                    path.append((s, e))
+                    counts.append(records[e][s])
+                    stack.append((s, states, v_sum, children))
+                    stack.append((e + 1, new_states, v_sum + obj[e][s], None))
+                    break
+                leaf = (*path, (s, e))
+                if len(leaf) >= b_min:
+                    value = _objective(leaf, tab)
+                    if (incumbent is None or sign * value < sign * incumbent[1]
+                            or (value == incumbent[1]
+                                and len(leaf) < len(incumbent[0]))):
+                        incumbent = (leaf, value)
+    return incumbent
 
 
 def _exact_search(agg: AggregateSet, cfg: BinningConfig,

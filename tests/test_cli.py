@@ -313,6 +313,29 @@ class TestFitExitCodes:
         assert code == 3
         assert "time budget must be >= 0" in err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--concentration", "std", "--gamma", "nan"], "gamma"),
+        (["--concentration", "maxmin", "--gamma", "nan"], "gamma"),
+        (["--concentration", "std", "--gamma", "inf"], "gamma"),
+        (["--concentration", "hhi", "--gamma", "inf"], "gamma"),
+        (["--min-diff", "nan"], "min_diff"),
+    ])
+    def test_non_finite_weight_is_3(self, binary_csv, capsys, flags, field):
+        code, out, err = run(capsys, [
+            "fit", "--data", binary_csv, "--variable", "age",
+            "--target", "default", *flags])
+        assert code == 3
+        assert field + " must be a finite real number" in err
+        assert out == ""
+
+    def test_negative_seed_is_3(self, binary_csv, capsys):
+        code, out, err = run(capsys, [
+            "fit", "--data", binary_csv, "--variable", "age",
+            "--target", "default", "--solver", "ls", "--seed", "-1"])
+        assert code == 3
+        assert "seed must be a nonnegative integer; got -1" in err
+        assert out == ""
+
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         path = tmp_path / "blank.csv"
         rng = np.random.default_rng(9)
@@ -597,6 +620,14 @@ class TestTransformCommand:
         code, _, err = run(capsys, ["transform", "--model", str(bad),
                                     "--data", str(tmp_path / "no.csv")])
         assert code == 3
+        bad.write_text("[1, 2]")
+        for argv in (["transform", "--model", str(bad),
+                      "--data", str(tmp_path / "no.csv")],
+                     ["report", "--model", str(bad)]):
+            code, out, err = run(capsys, argv)
+            assert code == 3
+            assert "malformed model file: not a JSON object" in err
+            assert out == ""
 
     @pytest.mark.parametrize("target_kind, edit, message", [
         ("binary", lambda d: d["transform_values"].pop(),
@@ -710,11 +741,11 @@ class TestReport:
         assert json.loads(out)["variable"] == "age"
 
 
-def test_importing_the_cli_skips_scipy_stats():
-    """scipy.stats costs most of the import time; only scipy.special is
-    needed."""
+def test_importing_the_cli_skips_scipy():
+    """scipy costs most of the import time, and only fit needs it (the
+    normal quantile and distribution function), so it is imported there."""
     code = ("import sys, binopt.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": SRC})

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -51,6 +52,14 @@ def test_validate_config_collects_all_violations():
                      "divergence", "max_pvalue", "concentration", "norm_p"):
         assert fragment in text
     assert len(err.value.violations) >= 8
+
+
+@pytest.mark.parametrize("field", ["gamma", "min_diff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_config_rejects_non_finite_weights(field, value):
+    with pytest.raises(InvalidConfigError) as err:
+        validate_config(BinningConfig(**{field: value}))
+    assert field + " must be a finite real number" in str(err.value)
 
 
 def test_validate_config_accepts_defaults():
@@ -135,6 +144,9 @@ def test_model_rejects_garbage():
         BinningModel.from_json("{not json")
     with pytest.raises(InputError):
         BinningModel.from_json('{"format_version": 1}')
+    for text in ("[1, 2]", "3", "null"):
+        with pytest.raises(InputError, match="not a JSON object"):
+            BinningModel.from_json(text)
 
 
 def test_model_trend_tuple_round_trip():

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -470,15 +472,22 @@ class TestCompletionBound:
             assert got.intervals == ((0, 1), (2, 3), (4, 4)), trend
             assert got.intervals == brute_force_oracle(agg, cfg).intervals
 
-    def test_deep_search_is_a_config_error(self):
-        # all singletons is the first path tried: one Python frame per bin.
+    def test_deep_search_needs_no_recursion(self):
+        # all singletons is the first path tried, 400 bins deep: the search
+        # runs under a recursion limit only 100 frames above the caller's.
         # With no max_bins the bound has one entry per (start, previous
-        # start); a bin-count axis would make it n^3 = 1.3e9 entries.
-        agg = _wide_binary_agg(np.random.default_rng(5), 1100)
+        # start), and it is exact for trend none.
+        agg = _wide_binary_agg(np.random.default_rng(5), 400)
         cfg = BinningConfig(min_bins=1, trend=TrendSpec("none"))
-        with pytest.raises(InvalidConfigError, match="1100 pre-bins") as err:
-            solve(agg, cfg)
-        assert "--solver ls" in str(err.value)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            got = solve(agg, cfg)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got.status == "optimal"
+        root = _root_bound(agg, cfg, None, _resolved_trends(agg, cfg))
+        assert got.objective == pytest.approx(root, rel=1e-12, abs=0)
 
 
 class TestPeakValley:
