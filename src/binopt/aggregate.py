@@ -41,29 +41,47 @@ def woe(nonevent, event, total_nonevent, total_event) -> float:
     return math.log((nonevent / total_nonevent) / (event / total_event))
 
 
-def divergence_contrib(p: float, q: float, kind: str = DIV_IV) -> float:
+def _log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element of a 1-D array: ``np.log`` may differ
+    from it in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), float, count=x.size)
+
+
+def _check_shares(p, q, bad, what: str) -> None:
+    """Raise ZeroCountError naming the first pair of shares that ``bad``
+    flags."""
+    if bad.any():
+        k = int(bad.argmax())
+        raise ZeroCountError("{}: p={}, q={}".format(what, float(p[k]),
+                                                     float(q[k])))
+
+
+def divergence_contrib(p, q, kind: str = DIV_IV):
     """One bin's divergence between non-event share ``p`` and event share ``q``.
 
     ``iv`` is the Jeffreys contribution (p - q) * log(p / q) and needs p, q > 0;
     ``jsd`` is the Jensen-Shannon contribution and tolerates zeros
-    (0 * log 0 == 0).  Both are nonnegative.
+    (0 * log 0 == 0).  Both are nonnegative.  ``p`` and ``q`` are floats or
+    1-D arrays of equal length; an array gives, element by element, the
+    float the same call gives for that element, and a bad share raises for
+    the first bad element.
     """
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
     if kind == DIV_IV:
-        if p <= 0 or q <= 0:
-            raise ZeroCountError(
-                "IV contribution undefined for zero shares: p={}, q={}".format(p, q))
-        return (p - q) * math.log(p / q)
-    if kind == DIV_JSD:
-        if p < 0 or q < 0:
-            raise ZeroCountError("negative shares: p={}, q={}".format(p, q))
-        m = 0.5 * (p + q)
-        term = 0.0
-        if p > 0:
-            term += p * math.log(p / m)
-        if q > 0:
-            term += q * math.log(q / m)
-        return 0.5 * term
-    raise ValueError("unknown divergence kind {!r}".format(kind))
+        _check_shares(ps, qs, (ps <= 0) | (qs <= 0),
+                      "IV contribution undefined for zero shares")
+        out = (ps - qs) * _log(ps / qs)
+    elif kind == DIV_JSD:
+        _check_shares(ps, qs, (ps < 0) | (qs < 0), "negative shares")
+        m = 0.5 * (ps + qs)
+        # a zero share takes log(1) == 0, so its term is 0.0
+        terms = [x * _log(np.divide(x, m, out=np.ones_like(x), where=x > 0))
+                 for x in (ps, qs)]
+        out = 0.5 * (0.0 + terms[0] + terms[1])
+    else:
+        raise ValueError("unknown divergence kind {!r}".format(kind))
+    return out if np.ndim(p) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -117,28 +135,32 @@ def _merge_counts(values: np.ndarray) -> TriMatrix:
     return np.tril(csum[1:, None] - csum[None, :-1])
 
 
+def _share_matrices(R_ne: TriMatrix, R_e: TriMatrix, R: TriMatrix,
+                    divergence: str):
+    """Divergence and event-rate matrices (V, D) of a binary or one-vs-rest
+    problem, filled over the lower triangle in row order."""
+    n = R.shape[0]
+    rows, cols = np.tril_indices(n)
+    ne, ev = R_ne[rows, cols], R_e[rows, cols]
+    V = np.zeros((n, n))
+    D = np.zeros((n, n))
+    V[rows, cols] = divergence_contrib(ne / R_ne[n - 1, 0], ev / R_e[n - 1, 0],
+                                       divergence)
+    D[rows, cols] = ev / R[rows, cols]
+    return V, D
+
+
 def build_binary(table: PrebinTable, divergence: str = DIV_IV) -> AggregateSet:
     """Divergence, event-rate and count matrices for a binary target.
 
     The table must be refined (>= 1 event and non-event per pre-bin), which
     makes every merge's counts positive and every entry well defined.
     """
-    ne = np.asarray(table.nonevent, dtype=float)
-    ev = np.asarray(table.event, dtype=float)
-    ne_total, e_total = float(ne.sum()), float(ev.sum())
-    R_ne = _merge_counts(ne)
-    R_e = _merge_counts(ev)
+    R_ne = _merge_counts(np.asarray(table.nonevent, dtype=float))
+    R_e = _merge_counts(np.asarray(table.event, dtype=float))
     R = R_ne + R_e
-    n = table.n
-    V = np.zeros((n, n))
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            p = R_ne[i, j] / ne_total
-            q = R_e[i, j] / e_total
-            V[i, j] = divergence_contrib(p, q, divergence)
-            D[i, j] = R_e[i, j] / R[i, j]
-    return AggregateSet(n=n, target=table.target, divergence=divergence,
+    V, D = _share_matrices(R_ne, R_e, R, divergence)
+    return AggregateSet(n=table.n, target=table.target, divergence=divergence,
                         R=R, R_ne=R_ne, R_e=R_e, V=V, D=D)
 
 
@@ -184,19 +206,8 @@ def build_multiclass(table: PrebinTable, divergence: str = DIV_IV) -> AggregateS
     class_V = []
     class_D = []
     for c in range(table.target.n_classes):
-        ev = np.asarray(table.class_events[c], dtype=float)
-        ne = np.asarray(table.count, dtype=float) - ev
-        e_total, ne_total = float(ev.sum()), float(ne.sum())
-        R_e = _merge_counts(ev)
-        Vc = np.zeros((n, n))
-        Dc = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                e_ij = R_e[i, j]
-                ne_ij = R[i, j] - e_ij
-                Vc[i, j] = divergence_contrib(ne_ij / ne_total, e_ij / e_total,
-                                              divergence)
-                Dc[i, j] = e_ij / R[i, j]
+        R_e = _merge_counts(np.asarray(table.class_events[c], dtype=float))
+        Vc, Dc = _share_matrices(R - R_e, R_e, R, divergence)
         class_V.append(Vc)
         class_D.append(Dc)
     V = np.sum(class_V, axis=0)

@@ -447,10 +447,14 @@ class BinningModel:
         tk = TargetKind(d["target_kind"]["kind"], d["target_kind"]["n_classes"])
         cfg_d = dict(d["config"])
         raw_trend = cfg_d["trend"]
-        if isinstance(raw_trend, list):
+        if isinstance(raw_trend, str):
+            cfg_d["trend"] = TrendSpec.parse(raw_trend)
+        elif (isinstance(raw_trend, list)
+              and all(isinstance(t, str) for t in raw_trend)):
             cfg_d["trend"] = tuple(TrendSpec.parse(t) for t in raw_trend)
         else:
-            cfg_d["trend"] = TrendSpec.parse(raw_trend)
+            raise InputError("malformed model file: trend {!r} is not a "
+                             "string or a list of strings".format(raw_trend))
         for key in ("special_values",):
             cfg_d[key] = tuple(cfg_d[key])
         cfg = BinningConfig(**cfg_d)

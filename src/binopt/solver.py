@@ -21,15 +21,18 @@ per-bin gates all compare rates through it.
 
 The search is a depth-first branch and bound over "next interval" choices that
 checks each trend bin by bin as the path grows; a free peak/valley turns at
-the first bin that cannot extend its first chain.  It prunes with a completion
-bound from one vectorized interval DP (``_completion_bound``) that enforces the
-per-bin and adjacent-bin constraints and relaxes the rest.  A leaf is scored
-by ``_objective``, as ``evaluate_partition`` scores it, and the returned
+the first bin that cannot extend its first chain.  Each node ranks its
+children by their cut keys and visits the best first.  A key is the path sum
+plus a completion bound from one vectorized interval DP
+(``_completion_bound``), which enforces the per-bin and adjacent-bin
+constraints and reads concave/convex as peak/valley chains, plus a floor on
+the concentration penalty (``_std_floor`` for std).  A leaf is scored by
+``_objective``, as ``evaluate_partition`` scores it, and the returned
 partition's recheck must give the same objective (``==``).
 A brute-force enumerator with independent whole-partition checks
-(``brute_force_oracle``) provides reference semantics for testing; ties are
-broken identically in both: better objective, then fewer bins, then
-lexicographically earliest interval start vector.
+(``brute_force_oracle``) provides reference semantics for testing; both rank
+partitions by one key (``_rank_key``): better objective, then fewer bins,
+then lexicographically earliest interval start vector.
 """
 
 from __future__ import annotations
@@ -446,14 +449,40 @@ def _curve_step(sign: float, state, d: float, e: int):
 # --------------------------------------------------------------------------- #
 
 # The completion bound follows the change bins of at most this many free
-# peaks/valleys, since its table doubles with each, and relaxes the others.
+# chains (free peaks/valleys, concave/convex), since its table doubles with
+# each, and relaxes the others.
 _PHASE_BITS = 2
 
 
-def _bound_chains(trends, n: int):
-    """Each trend's ``_chain`` as the completion bound enforces it: None for
-    the trends without one and the free peaks/valleys it relaxes."""
-    chains = [_chain(tr, n) for tr in trends]
+def _bound_chains(trends, n: int, min_diff: float):
+    """Each trend as the completion bound enforces it: ``(first_up, t,
+    gap)``, the ``_chain`` with gap ``min_diff`` for monotone and peak/valley
+    trends, and for concave (convex) a free peak (valley) chain with gap 0.
+    None for trend none and for the free chains beyond the first
+    ``_PHASE_BITS``, which the bound relaxes.
+
+    The curve chains are sound.  Let p be the first maximum of a concave
+    sequence r that ``check_trend`` passes.  For i + 1 < p its triple
+    (i, i+1, p) gives fl(2*r[i+1] + EPS) >= fl(r[i] + r[p]) >= 2*r[i], since
+    rounding is monotone and r[p] >= r[i]; past p, the triple (p, i, i+1)
+    gives fl(2*r[i] + EPS) >= 2*r[i+1].  Doubling is exact, so
+    fl(2*x + EPS) = 2*fl(x + EPS/2).  Then fl(r[i+1] + EPS/2) >= r[i], and a
+    float rounds to at least r[i] only from r[i] - g/2 or above, g being the
+    gap below r[i]: with g <= EPS that puts r[i+1] at r[i] - EPS or above,
+    and with g > EPS above r[i] - g, so at r[i] or above.  Either way
+    r[i+1] >= fl(r[i] - EPS), which is ``_follows`` with gap 0 ascending;
+    and r[i+1] <= fl(r[i] + EPS/2) <= fl(r[i] + EPS) descending.  This holds
+    for rates of any magnitude and sign, and convex is the same argument on
+    the negated rates, which ``check_trend`` and ``_follows`` round alike.
+    """
+    chains = []
+    for tr in trends:
+        chain = _chain(tr, n)
+        if chain is not None:
+            chain += (min_diff,)
+        elif tr.kind in (CONCAVE, CONVEX):
+            chain = (tr.kind == CONCAVE, -1, 0.0)
+        chains.append(chain)
     free = [i for i, chain in enumerate(chains) if chain and chain[1] < 0]
     for i in free[_PHASE_BITS:]:
         chains[i] = None
@@ -478,19 +507,22 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     ``p`` (``p`` is 0 when s is 0) and has phase ``ph``: the maximum for
     divergence targets, the minimum for continuous ones, and -inf (+inf) when
     no way exists.  Bit i of the phase turns from 0 to 1, never back, after
-    the change bin of the i-th free peak/valley that ``_bound_chains``
-    keeps.  The DP enforces the bins allowed by ``ok``, ``max_bins``, and
-    every check between two adjacent bins: p-value separation, and on each
-    rate matrix with a kept chain, that each bin ``_follows`` the one before
-    it in its chain's direction (weaker than whole chains, as a bound must
-    be).  It relaxes ``min_bins``, concave/convex, the free peaks/valleys
-    beyond ``_PHASE_BITS`` and the std and max-min penalties, and charges
-    each bin its own HHI share ``gamma * R**2 / T**2``, which is exact.
-    With nothing relaxed, the bound is the optimum.
+    the change bin of the i-th free chain that ``_bound_chains`` keeps.  The
+    DP enforces the bins allowed by ``ok``, ``max_bins``, and every check
+    between two adjacent bins: p-value separation, and on each rate matrix
+    with a kept chain, that each bin ``_follows`` the one before it in its
+    chain's direction with the chain's gap (weaker than whole chains, as a
+    bound must be).  A concave (convex) trend is kept as a peak (valley)
+    chain with gap 0, which every concave (convex) sequence is.  The bound
+    relaxes ``min_bins``, the rest of concave/convex, the free chains beyond
+    ``_PHASE_BITS`` and the std and max-min penalties, which the search
+    floors on its own, and charges each bin its own HHI share
+    ``gamma * R**2 / T**2``, which is exact.  With nothing relaxed, the
+    bound is the optimum.
 
     Table size is (n + 1) * n * (B + 1) * 2**f with B = ``max_bins`` and f
-    kept free peaks/valleys; the ``r`` axis has length 1 when ``max_bins``
-    is None.
+    kept free chains; the ``r`` axis has length 1 when ``max_bins`` is
+    None.
     """
     n = agg.n
     minimize = agg.target.is_continuous
@@ -508,9 +540,10 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     # follows its predecessor in the first chain's direction while it starts
     # at or before a pinned t or has a free chain's phase bit 0
     chains = [(mat,) + chain
-              for mat, chain in zip(agg.rate_matrices(), _bound_chains(trends, n))
+              for mat, chain in zip(agg.rate_matrices(),
+                                    _bound_chains(trends, n, cfg.min_diff))
               if chain is not None]
-    phases = 1 << sum(t < 0 for _, _, t in chains)
+    phases = 1 << sum(t < 0 for _, _, t, _ in chains)
     blocked = pairs.by_boundary if pairs is not None else {}
 
     width = cfg.max_bins + 1 if cfg.max_bins is not None else 1
@@ -528,9 +561,9 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
             continue
         allowed = True                            # allowed[p, e - s]
         turns = []                                # per free chain: by its bit
-        for mat, first_up, t in chains:           # bin p..s-1, then bin s..e
+        for mat, first_up, t, gap in chains:      # bin p..s-1, then bin s..e
             ways = [_follows(mat[s - 1, :s, None], mat[s:, s], first_up != b,
-                             cfg.min_diff) for b in ((s > t,) if t >= 0 else (0, 1))]
+                             gap) for b in ((s > t,) if t >= 0 else (0, 1))]
             if t >= 0:
                 allowed = allowed & ways[0]
             else:
@@ -553,113 +586,188 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     return G
 
 
+def _least_squares(agg: AggregateSet, ok, width: int):
+    """``Q[s, r]``: the least sum of squared record counts over the covers of
+    pre-bins s..n-1 by exactly r bins that ``ok`` allows, inf when there is
+    none.  ``r`` runs up to ``width - 1``."""
+    n = agg.n
+    sq = np.where(ok, agg.R.T * agg.R.T, _POS_INF)    # sq[s, e]: bin s..e
+    Q = np.full((n + 1, width), _POS_INF)
+    Q[n, 0] = 0.0
+    for s in range(n - 1, -1, -1):
+        Q[s, 1:] = np.min(sq[s, s:, None] + Q[s + 1:, :-1], axis=0)
+    return Q
+
+
+def _std_floor(Q, starts, sq, used: int, total: float, b_min: int, b_max):
+    """A floor on the sample std of the bins' record counts, for each node
+    ``k`` with its next bin at ``starts[k]`` after ``used`` bins whose counts
+    have squares summing to ``sq[k]``: the least over the allowed bin counts
+    m of sqrt((sum c**2 - T**2/m) / (m - 1)), with the least completion
+    ``Q`` (``_least_squares``), as T is fixed.  0 when m = 1 is allowed,
+    inf when no m is.
+
+    The floor must not exceed the penalty ``_penalty`` computes, even for a
+    variance near 0, where rounding error is all there is.  With u = 2**-53
+    and S = ``sq + Q`` (at least T**2/m): the m squares and sums in S, T**2,
+    the division by m and the subtraction put ``S - T**2/m`` at most
+    (2m + 4) u S above its exact value, and ``_penalty``'s two-pass sum of
+    squared deviations falls at most (m + 3) u below its exact value, which
+    costs at most 2(m + 3) u S on any completion whose own S is within twice
+    the least (a larger one has that much variance to spare).  Lowering S by
+    (m + 4) * 2**-51 of itself, (4m + 16) u S, covers both; the division and
+    the sqrt round monotonically.
+    """
+    r_lo = max(1, b_min - used)
+    r_hi = Q.shape[1] - 1 if b_max is None else min(Q.shape[1] - 1, b_max - used)
+    if r_lo > r_hi:
+        return np.full(len(starts), _POS_INF)
+    m = np.arange(used + r_lo, used + r_hi + 1, dtype=float)
+    S = np.asarray(sq)[:, None] + Q[starts, r_lo:r_hi + 1]
+    var = S * (1.0 - (m + 4.0) * 2.0 ** -51) - total * total / m
+    return np.min(np.sqrt(np.maximum(var, 0.0) / np.maximum(m - 1.0, 1.0)),
+                  axis=1)
+
+
 # --------------------------------------------------------------------------- #
 # the branch and bound
 # --------------------------------------------------------------------------- #
 
+def _rank_key(intervals, value: float, sign: float):
+    """The order that picks the answer among feasible partitions: better
+    objective (smaller ``sign * value``), then fewer bins, then the
+    lexicographically earliest start vector.  The exact search and the
+    oracle both rank by it."""
+    return sign * value, len(intervals), tuple(s for s, _ in intervals)
+
+
 def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
                       pairs: PValuePairs | None, trends, ok):
-    """Depth-first search on an explicit stack, so a table of any depth
-    solves.  Returns (intervals, objective) of the best feasible partition
-    or None.  ``trends`` holds one concrete TrendSpec per rate matrix;
-    ``ok`` is the ``_interval_ok`` matrix of bins that may appear at all.
+    """Best-first depth-first search on an explicit stack, so a table of any
+    depth solves.  Returns (intervals, objective) of the best feasible
+    partition by ``_rank_key``, or None.  ``trends`` holds one concrete
+    TrendSpec per rate matrix; ``ok`` is the ``_interval_ok`` matrix of bins
+    that may appear at all.
 
-    A stack frame is a node: the start of its next bin, its gate states, its
-    path sum and the iterator over its next bin's ends, None until the node
-    is first visited.  A node pushed back under a child resumes that
-    iterator when the child is done.  Exploration order (interval end
-    ascending at every level) makes the first solution found among
-    objective/bin-count ties the lexicographically earliest start vector,
-    so ties never replace the incumbent.
+    A node is a path of bins and the start ``s`` of its next bin.  When a
+    node is first visited its children, one per end of the next bin, pass
+    the p-value check against the last bin and each trend's ``_gate``.  The
+    leaf among them, the bin that ends at the last pre-bin, is scored at
+    once by ``_objective``.  Each other child gets the key its cut compares:
+    ``sign * (path sum + G)`` plus the floor of the concentration penalty,
+    with ``G`` from ``_completion_bound``, so a larger key is worse.  A
+    child is dropped when it cannot reach ``min_bins`` or the key says no
+    completion exists.  The others are pushed one at a time, best key first,
+    each when the one before it is done, and the node ends at the first
+    child whose key reaches the incumbent's plus a 1e-9 relative margin, so
+    a path that could tie is never cut.  Since the
+    incumbent is chosen by ``_rank_key``, the answer does not depend on the
+    visit order.
 
-    Each trend is checked bin by bin as the path grows, by its ``_gate``.  A
-    node is dropped when ``_completion_bound`` says no completion exists, or
-    when its path sum plus the bound (less the concentration penalty the
-    path already fixes) is worse than the incumbent by more than a 1e-9
-    relative margin, so a path that could tie is never cut.  The bound is
-    read at the phase the gates of the free peaks/valleys it keeps reached,
-    which is sound because phase 0 may still turn.  A leaf is scored by ``_objective``.
+    The penalty floor is the part the path already fixes: the path's HHI
+    shares (the bound charges the rest bin by bin), the path's max-min
+    spread, or ``_std_floor``.  The bound is read at the phase the gates of
+    the free peaks/valleys it keeps reached, and at phase 0 for the chains
+    of concave/convex; phase 0 is sound because it may still turn.
     """
     n = agg.n
     tab = _tables(agg, cfg, pairs)
     obj, records = tab.obj, tab.records
-    minimize = tab.minimize
-    worst = _POS_INF if minimize else _NEG_INF
-    sign = 1.0 if minimize else -1.0              # a larger sign * value is worse
+    sign = 1.0 if tab.minimize else -1.0          # a larger sign * value is worse
 
     b_min = cfg.min_bins
     b_max = cfg.max_bins
     gamma = tab.gamma
-    hhi = gamma and cfg.concentration == CONC_HHI
-    maxmin = gamma and cfg.concentration == CONC_MAXMIN
-    total_sq = records[n - 1][0] ** 2
+    conc = cfg.concentration if gamma else CONC_OFF
+    total = records[n - 1][0]
+    total_sq = total * total                      # for HHI shares
 
     ends = [[e for e, good in enumerate(row) if good] for row in ok.tolist()]
     G = _completion_bound(agg, cfg, pairs, trends, ok)
+    if conc == CONC_STD:
+        Q = _least_squares(agg, ok, min(b_max or n, n) + 1)
 
     gates, init_states, free = [], [], []
-    for tr, table, chain in zip(trends, tab.rates, _bound_chains(trends, n)):
+    bits = 0
+    for tr, table, chain in zip(trends, tab.rates,
+                                _bound_chains(trends, n, cfg.min_diff)):
         gate = _gate(tr, n, cfg.min_diff)
-        if gate is not None:
-            if chain and chain[1] < 0:
-                free.append((len(free), len(gates)))    # (phase bit, gate)
-            gates.append((gate[0], table))
-            init_states.append(gate[1])
+        if gate is None:
+            continue
+        if chain and chain[1] < 0:
+            if tr.kind in (PEAK, VALLEY):         # curve chains: read at phase 0
+                free.append((bits, len(gates)))   # (phase bit, gate)
+            bits += 1
+        gates.append((gate[0], table))
+        init_states.append(gate[1])
 
     path, counts = [], []                         # the bins and their record counts
-    incumbent = None                              # (intervals, objective)
+    incumbent = None                              # (rank key, intervals, objective)
+    limit = _POS_INF                              # keys from here on are cut
     stack = [(0, init_states, 0.0, None)]         # (start, states, path sum, children)
     while stack:
         s, states, v_sum, children = stack.pop()
-        if children is None:                      # first visit: may the node be cut?
+        if children is None:                      # first visit: rank the children
             used = len(path)
-            if used + (n - s) < b_min:
-                continue
-            bound = G[s, path[-1][0] if path else 0, b_max - used if b_max else 0,
-                      sum(states[i][0] << b for b, i in free) if free else 0]
-            if bound == worst:
-                continue
-            if incumbent is not None:
-                cur = incumbent[1]
-                # the part of the penalty that the bins on the path already fix
-                fixed = 0.0
-                if hhi:
-                    fixed = gamma * sum(c * c for c in counts) / total_sq
-                elif maxmin and counts:
-                    fixed = gamma * (max(counts) - min(counts))
-                if (sign * (v_sum + bound) + fixed
-                        > sign * cur + 1e-9 * max(1.0, abs(cur))):
+            prev = path[-1] if path else None
+            bound = G[:, s, b_max - used - 1 if b_max else 0].tolist()
+            ranked = []
+            for e in ends[s]:
+                if (pairs is not None and prev is not None
+                        and pairs.blocks(prev[1], prev[0], e, s)):
                     continue
-            children = iter(ends[s])
+                new_states = []
+                for (step, table), state in zip(gates, states):
+                    state = step(state, table[e][s], e)
+                    if state is None:
+                        break
+                    new_states.append(state)
+                else:
+                    if e == n - 1:
+                        leaf = (*path, (s, e))
+                        if len(leaf) >= b_min:
+                            value = _objective(leaf, tab)
+                            key = _rank_key(leaf, value, sign)
+                            if incumbent is None or key < incumbent[0]:
+                                incumbent = (key, leaf, value)
+                                limit = key[0] + 1e-9 * max(1.0, abs(value))
+                    elif used + n - e >= b_min:     # bins enough left
+                        ph = (sum(new_states[i][0] << b for b, i in free)
+                              if free else 0)
+                        v = v_sum + obj[e][s]
+                        ranked.append((sign * (v + bound[e + 1][ph]), e,
+                                       new_states, v))
+            if conc != CONC_OFF and ranked:      # add the penalty floors
+                cs = [records[e][s] for _, e, _, _ in ranked]
+                if conc == CONC_MAXMIN:
+                    lo = min(counts, default=_POS_INF)
+                    hi = max(counts, default=0.0)
+                    floors = [max(hi, c) - min(lo, c) for c in cs]
+                else:
+                    sq = sum(c * c for c in counts)
+                    if conc == CONC_HHI:
+                        floors = [(sq + c * c) / total_sq for c in cs]
+                    else:
+                        floors = _std_floor(
+                            Q, [e + 1 for _, e, _, _ in ranked],
+                            [sq + c * c for c in cs], used + 1, total,
+                            b_min, b_max).tolist()
+                ranked = [(key + gamma * floor, *rest)
+                          for (key, *rest), floor in zip(ranked, floors)]
+            ranked.sort()
+            children = iter(ranked)
         else:                                     # a child returned: drop its bin
             path.pop()
             counts.pop()
-        prev = path[-1] if path else None
-        for e in children:
-            if (pairs is not None and prev is not None
-                    and pairs.blocks(prev[1], prev[0], e, s)):
-                continue
-            new_states = []
-            for (step, table), state in zip(gates, states):
-                state = step(state, table[e][s], e)
-                if state is None:
-                    break
-                new_states.append(state)
-            else:
-                if e < n - 1:
-                    path.append((s, e))
-                    counts.append(records[e][s])
-                    stack.append((s, states, v_sum, children))
-                    stack.append((e + 1, new_states, v_sum + obj[e][s], None))
-                    break
-                leaf = (*path, (s, e))
-                if len(leaf) >= b_min:
-                    value = _objective(leaf, tab)
-                    if (incumbent is None or sign * value < sign * incumbent[1]
-                            or (value == incumbent[1]
-                                and len(leaf) < len(incumbent[0]))):
-                        incumbent = (leaf, value)
-    return incumbent
+        for key, e, new_states, v in children:
+            if key >= limit:                      # so is every key after it
+                break
+            path.append((s, e))
+            counts.append(records[e][s])
+            stack.append((s, states, v_sum, children))
+            stack.append((e + 1, new_states, v, None))
+            break
+    return incumbent and incumbent[1:]
 
 
 def _exact_search(agg: AggregateSet, cfg: BinningConfig,
@@ -864,8 +972,7 @@ def _enumerate(agg: AggregateSet, cfg: BinningConfig,
         if next(_violated_groups(intervals, tab), 0):
             continue
         obj = _objective(intervals, tab)
-        # better objective, then fewer bins, then earlier starts
-        key = (sign * obj, len(intervals), tuple(s for s, _ in intervals))
+        key = _rank_key(intervals, obj, sign)
         if best is None or key < best[0]:
             best = (key, obj, intervals)
     if best is None:

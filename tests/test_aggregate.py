@@ -308,6 +308,90 @@ def test_merge_counts_matches_a_row_loop(n):
     assert np.array_equal(_merge_counts(values), want)
 
 
+def _contrib_loop(p, q, kind):
+    """One cell's divergence with scalar ``math.log``, as the builders once
+    computed it cell by cell."""
+    if kind == "iv":
+        if p <= 0 or q <= 0:
+            raise ZeroCountError("IV contribution undefined for zero shares: "
+                                 "p={}, q={}".format(p, q))
+        return (p - q) * math.log(p / q)
+    m = 0.5 * (p + q)
+    term = 0.0
+    if p > 0:
+        term += p * math.log(p / m)
+    if q > 0:
+        term += q * math.log(q / m)
+    return 0.5 * term
+
+
+def _share_matrices_loop(ne, ev, kind):
+    """Reference: V and D of one binary or one-vs-rest problem, one cell at a
+    time in row order."""
+    ne = np.asarray(ne, dtype=float)
+    ev = np.asarray(ev, dtype=float)
+    ne_total, e_total = float(ne.sum()), float(ev.sum())
+    R_ne, R_e = _merge_counts(ne), _merge_counts(ev)
+    R = R_ne + R_e
+    n = ne.size
+    V = np.zeros((n, n))
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            V[i, j] = _contrib_loop(R_ne[i, j] / ne_total, R_e[i, j] / e_total,
+                                    kind)
+            D[i, j] = R_e[i, j] / R[i, j]
+    return V, D
+
+
+@pytest.mark.parametrize("kind", ["iv", "jsd"])
+def test_builders_match_a_cell_loop(kind):
+    # bit for bit: the builders take their logs with math.log, not np.log
+    rng = np.random.default_rng(76)
+    for n in range(1, 77):
+        ne, ev = rng.integers(1, 500, n), rng.integers(1, 500, n)
+        agg = build_binary(binary_table(ne, ev), divergence=kind)
+        V, D = _share_matrices_loop(ne, ev, kind)
+        assert np.array_equal(agg.V, V) and np.array_equal(agg.D, D), n
+
+        ce = rng.integers(1, 60, (3, n))
+        agg = build_multiclass(
+            PrebinTable(target=TargetKind.multiclass(3), count=ce.sum(axis=0),
+                        class_events=ce,
+                        splits=tuple(float(i) + 0.5 for i in range(n - 1))),
+            divergence=kind)
+        for c in range(3):
+            V, D = _share_matrices_loop(ce.sum(axis=0) - ce[c], ce[c], kind)
+            assert np.array_equal(agg.class_V[c], V), (n, c)
+            assert np.array_equal(agg.class_D[c], D), (n, c)
+        assert np.array_equal(agg.V, np.sum(agg.class_V, axis=0))
+
+
+def test_zero_share_names_the_first_bad_cell():
+    # unrefined tables: pre-bins without non-events or events make zero
+    # shares, and the error must name the first such cell in row order
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        ne, ev = rng.integers(0, 4, n), rng.integers(0, 4, n)
+        ne[0] += ne.sum() == 0
+        ev[-1] += ev.sum() == 0
+        with pytest.raises(ZeroCountError) as want:
+            _share_matrices_loop(ne, ev, "iv")
+            raise ZeroCountError("no zero share")
+        if str(want.value) == "no zero share":
+            assert build_binary(binary_table(ne, ev)).n == n
+            continue
+        with pytest.raises(ZeroCountError) as got:
+            build_binary(binary_table(ne, ev))
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ZeroCountError, match=r"p=0\.0, q=0\.5"):
+        divergence_contrib(np.array([0.5, 0.0, 0.0]),
+                           np.array([0.5, 0.5, 0.0]), "iv")
+    with pytest.raises(ZeroCountError, match=r"negative shares: p=-0\.1"):
+        divergence_contrib(np.array([0.5, -0.1]), np.array([0.5, 0.5]), "jsd")
+
+
 def test_aggregate_arrays_are_frozen():
     agg = build_binary(binary_table([1, 2], [2, 1]))
     with pytest.raises(ValueError):

@@ -638,6 +638,10 @@ class TestTransformCommand:
         ("binary", lambda d: d["splits"].reverse(), "strictly ascending"),
         ("binary", lambda d: d["splits"].__setitem__(1, d["splits"][0]),
          "strictly ascending"),
+        ("binary", lambda d: d["config"].__setitem__("trend", 5),
+         "trend 5 is not a string"),
+        ("binary", lambda d: d["config"].__setitem__("trend", [1]),
+         "trend [1] is not a string"),
     ])
     def test_malformed_numeric_model_is_3(self, binary_csv, tmp_path, capsys,
                                           target_kind, edit, message):
@@ -667,11 +671,12 @@ class TestTransformCommand:
         edit(d)
         with open(model_path, "w") as fh:
             json.dump(d, fh)
-        code, out, err = run(capsys, ["transform", "--model", model_path,
-                                      "--data", data])
-        assert code == 3
-        assert message in err and "malformed model file" in err
-        assert "Traceback" not in err and out == ""
+        for argv in (["transform", "--model", model_path, "--data", data],
+                     ["report", "--model", model_path]):
+            code, out, err = run(capsys, argv)
+            assert code == 3
+            assert message in err and "malformed model file" in err
+            assert "Traceback" not in err and out == ""
 
 
 # --------------------------------------------------------------------------- #

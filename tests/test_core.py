@@ -147,6 +147,12 @@ def test_model_rejects_garbage():
     for text in ("[1, 2]", "3", "null"):
         with pytest.raises(InputError, match="not a JSON object"):
             BinningModel.from_json(text)
+    # a trend that is neither a string nor a list of strings
+    for trend in (5, [1], None, {"kind": "ascending"}):
+        d = json.loads(_tiny_model().to_json())
+        d["config"]["trend"] = trend
+        with pytest.raises(InputError, match="malformed model file: trend"):
+            BinningModel.from_json(json.dumps(d))
 
 
 def test_model_trend_tuple_round_trip():

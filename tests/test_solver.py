@@ -13,8 +13,8 @@ from binopt import (
     Solution, ls_solve, pvalue_pairs, solve, solve_peak_valley, with_trend,
 )
 from binopt.solver import (
-    AUTO_MARGIN, _PHASE_BITS, _completion_bound, _interval_ok, _pick,
-    _resolved_trends,
+    AUTO_MARGIN, EPS, _PHASE_BITS, _completion_bound, _interval_ok,
+    _least_squares, _pick, _resolved_trends, _std_floor,
 )
 
 from helpers import (
@@ -342,6 +342,14 @@ def _assert_root(root, agg, trends, ref):
         assert root == (math.inf if minimize else -math.inf)
 
 
+def _assert_oracle(got, ref, what):
+    """The exact solver's answer is the oracle's, ties included."""
+    assert got.status == ref.status, what
+    assert got.intervals == ref.intervals, what
+    if ref.is_feasible:
+        assert got.objective == ref.objective, what
+
+
 def _wide_binary_agg(rng, n):
     """build_binary's matrices with numpy (its loops take a second at n=1e3)."""
     ne = rng.integers(1, 30, size=n)
@@ -471,6 +479,99 @@ class TestCompletionBound:
             assert got.objective == 0.0, trend
             assert got.intervals == ((0, 1), (2, 3), (4, 4)), trend
             assert got.intervals == brute_force_oracle(agg, cfg).intervals
+
+    def test_root_key_covers_std_and_curves(self):
+        # where the bound is not exact, beyond the oracle's sizes: the
+        # root's key, the bound plus the std floor, may only be better than
+        # the optimum
+        rng = np.random.default_rng(2027)
+        families = ("concave", "convex", "none", "ascending", "valley")
+        for i in range(60):
+            family = families[i % len(families)]
+            agg, cfg, pairs = random_instance(rng, family, i % 4, n_max=40,
+                                              n_min=13)
+            if family not in ("concave", "convex") or i % 2:
+                cfg = replace(cfg, concentration="std",
+                              gamma=float(rng.choice([0.1, 1e-3])))
+            got = solve(agg, cfg, pairs)
+            if not got.is_feasible:
+                continue
+            ok = _interval_ok(agg, cfg)
+            sign = 1.0 if agg.target.is_continuous else -1.0
+            G = _completion_bound(agg, cfg, pairs, _resolved_trends(agg, cfg),
+                                  ok)
+            key = sign * float(G[0, 0, -1, 0])
+            if cfg.concentration == "std" and cfg.gamma:
+                Q = _least_squares(agg, ok, min(cfg.max_bins or agg.n, agg.n)
+                                   + 1)
+                key += cfg.gamma * float(_std_floor(
+                    Q, [0], [0.0], 0, agg.n_records, cfg.min_bins,
+                    cfg.max_bins)[0])
+            slack = 1e-12 * max(1.0, abs(got.objective))
+            assert key <= sign * got.objective + slack, (family, i)
+
+    @pytest.mark.parametrize("concentration", ["off", "std", "hhi", "maxmin"])
+    def test_tie_heavy_tables_follow_the_oracle(self, concentration):
+        # counts of 1 or 2 make many bins share a rate and many partitions
+        # share an objective: only the tie-break may choose among them
+        rng = np.random.default_rng(["off", "std", "hhi", "maxmin"]
+                                    .index(concentration))
+        for i in range(60):
+            family = TREND_FAMILIES[i % len(TREND_FAMILIES)]
+            n = int(rng.integers(4, 11))
+            div = ("iv", "jsd")[i % 2]
+            agg = binary_agg(rng.integers(1, 3, n), rng.integers(1, 3, n), div)
+            cfg = BinningConfig(
+                min_bins=int(rng.integers(1, 3)),
+                max_bins=int(rng.integers(2, n + 1)) if i % 3 == 0 else None,
+                min_diff=float(rng.choice([0.0, 0.01])),
+                concentration=concentration,
+                gamma=0.0 if concentration == "off" else
+                float(rng.choice([0.002, 0.05])),
+                trend=family_trend(family, rng, n), divergence=div)
+            pairs = (pvalue_pairs(agg.R_ne, agg.R_e, 0.5) if i % 4 == 1
+                     else None)
+            _assert_oracle(solve(agg, cfg, pairs),
+                           brute_force_oracle(agg, cfg, pairs), (family, i))
+
+    @pytest.mark.parametrize("base", [1e4, 1e6, 1e7, 1e8])
+    def test_std_floor_at_near_zero_variance(self, base):
+        # pre-bins of equal event rate and b or b +- 2 records, b an odd
+        # count near the base: every divergence is 0, so the objective is
+        # the penalty alone, and partitions into equal runs have a std near
+        # 0, below the float error of sum c**2 - T**2/m, which the floor
+        # must allow for
+        rng = np.random.default_rng(int(base))
+        for i in range(60):
+            family = TREND_FAMILIES[i % len(TREND_FAMILIES)]
+            n = int(rng.integers(6, 11))
+            b = int(base * rng.uniform(1, 3)) | 1
+            half = b + rng.integers(-2, 3, n) * (i % 2)
+            agg = binary_agg(half, half, ("iv", "jsd")[i // 2 % 2])
+            cfg = BinningConfig(
+                min_bins=int(rng.integers(2, 4)), concentration="std",
+                gamma=float(rng.choice([0.1, 1.0])) / base,
+                trend=family_trend(family, rng, n), divergence=agg.divergence)
+            _assert_oracle(solve(agg, cfg), brute_force_oracle(agg, cfg),
+                           (family, i))
+
+    @pytest.mark.parametrize("base", [1.0, 1e3, 1e6, 1e9])
+    def test_curves_at_near_ties_of_large_means(self, base):
+        # continuous means a few EPS or a few ulps of the base apart: the
+        # curve chains' gap must hold check_trend's rounding at any size
+        rng = np.random.default_rng(int(base) + 7)
+        spacing = float(np.spacing(base))
+        for i in range(40):
+            n = int(rng.integers(5, 11))
+            count = rng.integers(1, 4, n)
+            step = float(rng.choice([EPS / 2, EPS, spacing, 2 * spacing]))
+            means = base + rng.integers(-2, 3, n) * step
+            agg = continuous_agg(count, means * count)
+            cfg = BinningConfig(min_bins=int(rng.integers(1, 3)),
+                                min_diff=float(rng.choice([0.0, 0.01])),
+                                trend=TrendSpec(("concave", "convex")[i % 2]))
+            _assert_oracle(solve(agg, cfg),
+                           brute_force_oracle(agg, cfg), i)
 
     def test_deep_search_needs_no_recursion(self):
         # all singletons is the first path tried, 400 bins deep: the search

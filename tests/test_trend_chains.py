@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binopt import TrendSpec, check_trend, presolve_monotonic
-from binopt.solver import EPS, _gate, _trend_feasible
+from binopt.solver import EPS, _follows, _gate, _trend_feasible
 
 from helpers import TREND_FAMILIES, binary_agg, random_binary_agg
 
@@ -172,5 +172,42 @@ def test_gates_accept_exactly_what_the_oracle_accepts(family):
                 assert _gate_accepts(rates[:m], intervals[:m], trend,
                                      min_diff) == \
                     _trend_feasible(intervals[:m], rates[:m], trend, min_diff)
+
+    check()
+
+
+# --------------------------------------------------------------------------- #
+# concave/convex as the completion bound reads them
+# --------------------------------------------------------------------------- #
+
+@st.composite
+def _curved_rates(draw):
+    """Rates on a lattice around a base of any magnitude and sign, with a
+    step of a fraction of EPS or of the base's own spacing."""
+    base = draw(st.sampled_from((0.3, 1.0, 4095.0, 4096.0, 12345.678, 1e6,
+                                 1e9))) * draw(st.sampled_from((1, -1)))
+    step = draw(st.sampled_from((EPS / 4, EPS / 2, EPS, 2 * EPS,
+                                 float(np.spacing(base)),
+                                 2 * float(np.spacing(base)))))
+    ks = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=7))
+    return [base + k * step for k in ks]
+
+
+@pytest.mark.parametrize("kind", ["concave", "convex"])
+def test_curves_are_chains_with_gap_zero(kind):
+    # every sequence check_trend passes splits at its first extreme into
+    # chains whose adjacent bins _follows with gap 0, which is what the
+    # completion bound enforces for concave (peak) and convex (valley)
+    up = kind == "concave"
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_curved_rates())
+    def check(rates):
+        if not check_trend(rates, TrendSpec(kind)):
+            return
+        p = rates.index(max(rates) if up else min(rates))
+        for i in range(len(rates) - 1):
+            assert _follows(rates[i], rates[i + 1], up == (i < p), 0.0), \
+                (rates, i)
 
     check()
