@@ -221,33 +221,34 @@ def build_multiclass(table: PrebinTable, divergence: str = DIV_IV) -> AggregateS
 
 @dataclass(frozen=True)
 class PValuePairs:
-    """Adjacent merge pairs whose event rates are *not* separated at level alpha.
+    """Adjacent bins whose event rates are *not* separated at level alpha.
 
-    Each element is a quadruple (i, j, k, l): the candidate bin j..i followed
-    by the adjacent candidate bin l..k (l == i + 1).  A partition may not
-    contain both halves of any quadruple.
+    ``masks[l]`` is an (l, n - l) boolean array for the boundary before
+    pre-bin l: ``masks[l][j, k - l]`` is True when bin j..l-1 may not be
+    followed by bin l..k.  A partition may not contain both bins of a blocked
+    pair.  ``masks[0]`` is empty, as no bin ends before pre-bin 0.
     """
 
     alpha: float
     threshold: float
-    pairs: frozenset
+    masks: tuple
+
+    def __post_init__(self):
+        for mask in self.masks:
+            mask.setflags(write=False)
 
     def blocks(self, prev_end: int, prev_start: int, end: int, start: int) -> bool:
-        return (prev_end, prev_start, end, start) in self.pairs
+        return (start == prev_end + 1
+                and bool(self.masks[start][prev_start, end - start]))
 
     @cached_property
-    def by_boundary(self) -> dict:
-        """The adjacent pairs grouped by the start ``l`` of the second bin.
-
-        Maps l to index arrays (j, k): bin j..l-1 may not be followed by bin
-        l..k.  Built once per pairs object, on first use.
-        """
-        groups = {}
-        for i, j, k, l in self.pairs:
-            if l == i + 1:
-                groups.setdefault(l, []).append((j, k))
-        return {l: tuple(np.array(jk, dtype=np.intp).T)
-                for l, jk in groups.items()}
+    def pairs(self) -> frozenset:
+        """Every blocked pair as a quadruple (i, j, k, l) of ints: bin j..i
+        followed by bin l..k, l = i + 1.  Built on first use, for readers
+        outside the solver; the solver reads ``masks``."""
+        return frozenset((l - 1, j, k + l, l)
+                         for l, mask in enumerate(self.masks)
+                         for j, k in np.argwhere(mask).tolist())
 
 
 def _pooled_zstat(e1: float, ne1: float, e2: float, ne2: float) -> float:
@@ -264,23 +265,22 @@ def _pooled_zstat(e1: float, ne1: float, e2: float, ne2: float) -> float:
 
 
 def pvalue_pairs(R_ne: TriMatrix, R_e: TriMatrix, alpha: float) -> PValuePairs:
-    """Enumerate adjacent merge pairs failing the two-proportion z test.
+    """Mark the adjacent merge pairs failing the two-proportion z test.
 
-    A quadruple (i, j, k, l) lands in the set when the pooled z statistic of
-    merge j..i against the adjacent merge l..k (l = i + 1) is below the normal
-    quantile for ``alpha`` two-sided, i.e. the rates are insufficiently
-    separated (p-value above alpha).
+    Bin j..l-1 followed by bin l..k is blocked (``masks[l][j, k - l]``) when
+    the pooled z statistic of the two merges is below the normal quantile for
+    ``alpha`` two-sided, i.e. the rates are insufficiently separated (p-value
+    above alpha).
     """
     from scipy.special import ndtri     # here, so that importing binopt skips scipy
 
     threshold = float(ndtri(1.0 - alpha / 2.0))
     n = R_e.shape[0]
-    found = set()
-    for i in range(n - 1):
-        # every first bin j..i against every second bin l..k at once, in
+    masks = [np.zeros((0, n), dtype=bool)]
+    for l in range(1, n):
+        # every first bin j..l-1 against every second bin l..k at once, in
         # _pooled_zstat's order of operations, so each z is the same float
-        l = i + 1
-        e1, ne1 = R_e[i, :l, None], R_ne[i, :l, None]
+        e1, ne1 = R_e[l - 1, :l, None], R_ne[l - 1, :l, None]
         e2, ne2 = R_e[l:, l], R_ne[l:, l]
         n1 = e1 + ne1
         n2 = e2 + ne2
@@ -290,7 +290,5 @@ def pvalue_pairs(R_ne: TriMatrix, R_e: TriMatrix, alpha: float) -> PValuePairs:
         var = pbar * (1.0 - pbar) * (1.0 / n1 + 1.0 / n2)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(var <= 0.0, 0.0, (d1 - d2) / np.sqrt(var))
-        js, ks = np.nonzero(np.abs(z) < threshold)
-        found.update((i, j, k, l)
-                     for j, k in zip(js.tolist(), (ks + l).tolist()))
-    return PValuePairs(alpha=alpha, threshold=threshold, pairs=frozenset(found))
+        masks.append(np.abs(z) < threshold)
+    return PValuePairs(alpha=alpha, threshold=threshold, masks=tuple(masks))

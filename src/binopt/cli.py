@@ -253,11 +253,14 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
 
     Raises InfeasibleError when no partition satisfies the constraints, and
     TimeBudgetError when the local search's budget ran out before it met a
-    feasible one.  A negative or NaN budget is an InvalidConfigError for
-    either solver.
+    feasible one.  A negative or NaN budget, or ``max_pvalue`` on a target
+    that is not binary, is an InvalidConfigError.
     """
     validate_config(cfg)
     _check_time_limit(time_budget)
+    if cfg.max_pvalue is not None and not target_kind.is_binary:
+        raise InvalidConfigError(["--max-pvalue applies to binary targets "
+                                  "only, not {}".format(target_kind.kind)])
     (xc, yc), (xs, ys_special), (xm, ys_missing) = \
         preprocess.split_missing_special(values, target, cfg.special_values)
     if not len(xc):
@@ -298,7 +301,7 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
         validate_config(cfg)
 
     pairs = None
-    if cfg.max_pvalue is not None and target_kind.is_binary:
+    if cfg.max_pvalue is not None:
         pairs = aggregate.pvalue_pairs(agg.R_ne, agg.R_e, cfg.max_pvalue)
 
     if solver_name == "ls":
@@ -684,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--min-bin-size", type=int, default=None,
                      help="records per bin (default: 5%% of optimized records)")
     fit.add_argument("--max-pvalue", type=float, default=None,
-                     help="enforce two-proportion separation at this level")
+                     help="adjacent-bin z-test level (binary targets only)")
     fit.add_argument("--min-diff", type=float, default=0.0,
                      help="minimum event-rate gap for monotonic trends")
     fit.add_argument("--concentration", default="off",

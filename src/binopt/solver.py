@@ -198,10 +198,11 @@ def _penalty(counts, kind: str) -> float:
 
 def apply_pvalue_constraint(intervals, pairs: PValuePairs | None) -> bool:
     """True iff no two adjacent bins form an insufficiently-separated pair."""
-    if pairs is None or not pairs.pairs:
+    if pairs is None:
         return True
+    masks = pairs.masks
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
-        if pairs.blocks(e1, s1, e2, s2):
+        if s2 == e1 + 1 and masks[s2][s1, e2 - s2]:
             return False
     return True
 
@@ -240,7 +241,7 @@ class _Tables:
     like the matrix it copies, so scoring a bin is one list lookup."""
 
     cfg: BinningConfig
-    pairs: PValuePairs | None
+    pvalue: PValuePairs | None
     trends: tuple          # one TrendSpec per rate matrix
     b_max: int
     minimize: bool
@@ -276,7 +277,7 @@ def _tables(agg: AggregateSet, cfg: BinningConfig,
         memo[key] = (bad.tolist(), bad)
     bad, bad_matrix = memo[key]
     return _Tables(
-        cfg=cfg, pairs=pairs, trends=_resolved_trends(agg, cfg),
+        cfg=cfg, pvalue=pairs, trends=_resolved_trends(agg, cfg),
         b_max=cfg.max_bins if cfg.max_bins is not None else agg.n,
         minimize=agg.target.is_continuous,
         gamma=cfg.gamma if cfg.concentration != CONC_OFF else 0.0,
@@ -311,7 +312,7 @@ def _violated_groups(intervals, tab: _Tables, bad_bins=None):
         rates = [table[e][s] for s, e in intervals]
         if not _trend_feasible(intervals, rates, trend, cfg.min_diff):
             yield 1
-    if not apply_pvalue_constraint(intervals, tab.pairs):
+    if not apply_pvalue_constraint(intervals, tab.pvalue):
         yield 1
 
 
@@ -509,16 +510,17 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     no way exists.  Bit i of the phase turns from 0 to 1, never back, after
     the change bin of the i-th free chain that ``_bound_chains`` keeps.  The
     DP enforces the bins allowed by ``ok``, ``max_bins``, and every check
-    between two adjacent bins: p-value separation, and on each rate matrix
-    with a kept chain, that each bin ``_follows`` the one before it in its
-    chain's direction with the chain's gap (weaker than whole chains, as a
-    bound must be).  A concave (convex) trend is kept as a peak (valley)
-    chain with gap 0, which every concave (convex) sequence is.  The bound
-    relaxes ``min_bins``, the rest of concave/convex, the free chains beyond
-    ``_PHASE_BITS`` and the std and max-min penalties, which the search
-    floors on its own, and charges each bin its own HHI share
-    ``gamma * R**2 / T**2``, which is exact.  With nothing relaxed, the
-    bound is the optimum.
+    between two adjacent bins: p-value separation, by ANDing the negated mask
+    ``pairs.masks[s]`` into the (previous start, end) pairs it allows at each
+    boundary s, and on each rate matrix with a kept chain, that each bin
+    ``_follows`` the one before it in its chain's direction with the chain's
+    gap (weaker than whole chains, as a bound must be).  A concave (convex)
+    trend is kept as a peak (valley) chain with gap 0, which every concave
+    (convex) sequence is.  The bound relaxes ``min_bins``, the rest of
+    concave/convex, the free chains beyond ``_PHASE_BITS`` and the std and
+    max-min penalties, which the search floors on its own, and charges each
+    bin its own HHI share ``gamma * R**2 / T**2``, which is exact.  With
+    nothing relaxed, the bound is the optimum.
 
     Table size is (n + 1) * n * (B + 1) * 2**f with B = ``max_bins`` and f
     kept free chains; the ``r`` axis has length 1 when ``max_bins`` is
@@ -544,7 +546,7 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
                                     _bound_chains(trends, n, cfg.min_diff))
               if chain is not None]
     phases = 1 << sum(t < 0 for _, _, t, _ in chains)
-    blocked = pairs.by_boundary if pairs is not None else {}
+    masks = pairs.masks if pairs is not None else ()
 
     width = cfg.max_bins + 1 if cfg.max_bins is not None else 1
     G = np.full((n + 1, n, width, phases), worst)
@@ -556,10 +558,10 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
         else:
             w = np.full((n - s, width, phases), worst)
             w[:, 1:] = val[s, s:, None, None] + tail[:, :-1]
-        if s == 0 or not (chains or s in blocked):
+        if s == 0 or not (chains or masks):
             G[s] = best_of.reduce(w[..., :1], axis=0)   # the first bin: phase 0
             continue
-        allowed = True                            # allowed[p, e - s]
+        allowed = ~masks[s] if masks else True    # allowed[p, e - s]
         turns = []                                # per free chain: by its bit
         for mat, first_up, t, gap in chains:      # bin p..s-1, then bin s..e
             ways = [_follows(mat[s - 1, :s, None], mat[s:, s], first_up != b,
@@ -568,11 +570,6 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
                 allowed = allowed & ways[0]
             else:
                 turns.append(ways)
-        if s in blocked:
-            j, k = blocked[s]
-            gap = np.ones((s, n - s), dtype=bool)
-            gap[j, k - s] = False
-            allowed = allowed & gap
         for ph in range(phases):
             a = allowed
             for i, ways in enumerate(turns):
@@ -709,12 +706,13 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
         s, states, v_sum, children = stack.pop()
         if children is None:                      # first visit: rank the children
             used = len(path)
-            prev = path[-1] if path else None
             bound = G[:, s, b_max - used - 1 if b_max else 0].tolist()
+            # blocked[e - s]: bin s..e may not follow the path's last bin
+            blocked = (pairs.masks[s][path[-1][0]].tolist()
+                       if pairs is not None and path else ())
             ranked = []
             for e in ends[s]:
-                if (pairs is not None and prev is not None
-                        and pairs.blocks(prev[1], prev[0], e, s)):
+                if blocked and blocked[e - s]:
                     continue
                 new_states = []
                 for (step, table), state in zip(gates, states):

@@ -292,7 +292,15 @@ def test_pvalue_pairs_match_a_loop_over_pairs(n):
     R_ne, R_e = _merge_counts(ne), _merge_counts(ev)
     for alpha in (0.01, 0.05, 0.5):
         pp = pvalue_pairs(R_ne, R_e, alpha)
-        assert pp.pairs == _pvalue_pairs_loop(R_ne, R_e, pp.threshold)
+        want = _pvalue_pairs_loop(R_ne, R_e, pp.threshold)
+        assert len(pp.masks) == n
+        for l, mask in enumerate(pp.masks):
+            assert mask.shape == (l, n - l) and mask.dtype == bool
+            assert not mask.flags.writeable
+            js, ks = np.nonzero(mask)
+            assert ({(l - 1, j, k + l, l) for j, k in zip(js, ks)}
+                    == {quad for quad in want if quad[3] == l})
+        assert pp.pairs == want
         assert all(type(v) is int for quad in pp.pairs for v in quad)
         if n >= 4:
             assert {(0, 0, 1, 1), (n - 2, n - 2, n - 1, n - 1)} <= pp.pairs

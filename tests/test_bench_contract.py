@@ -1,0 +1,41 @@
+"""The benchmark harness under ``bench/`` still runs against the program.
+
+``test_traced_names.py`` checks that the names the tracer wraps exist; this
+runs ``bench/run.py`` itself at its tiny scale, so a keyword the harness
+passes (``solve(..., use_presolve=True)``) or a size function the tracer
+applies (``len(pairs.pairs)`` for ``aggregate.pvalue_pairs.count``) that the
+program no longer accepts fails here.  Each run takes a few seconds and
+writes only under the gitignored ``.bench_out/`` and ``.bench_tmp/``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _bench(*flags) -> dict:
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--scale", "tiny",
+         "--seconds", "1", *flags],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("flags, counted", [
+    # the tiny exact corpus has no binary p-value operation at any seed,
+    # so only cli-csv reaches the tracer's pair count
+    (("--workload", "cli-csv", "--trace", "1"), "aggregate.pvalue_pairs.count"),
+    (("--workload", "exact-corpus"), None),
+])
+def test_bench_runs_clean_at_tiny_scale(flags, counted):
+    result = _bench(*flags)
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
+    if counted:
+        assert result["metrics"][counted]["value"] > 0

@@ -293,6 +293,20 @@ class TestFitExitCodes:
         assert "change_point 50 out of range for" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, target", [("continuous", "yc"),
+                                              ("multiclass", "ym")])
+    def test_max_pvalue_on_a_non_binary_target_is_3(self, kind, target,
+                                                    tmp_path, capsys):
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+        model = tmp_path / "model.json"
+        code, out, err = run(capsys, [
+            "fit", "--data", golden, "--variable", "num", "--target", target,
+            "--target-kind", kind, "--max-pvalue", "0.05",
+            "--model", str(model)])
+        assert code == 3
+        assert "--max-pvalue applies to binary targets only" in err
+        assert out == "" and not model.exists()
+
     def test_time_budget_that_runs_out_is_2_and_named(self, capsys):
         golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
         code, out, err = run(capsys, [

@@ -165,6 +165,14 @@ class TestPValueConstraint:
     def test_none_means_unconstrained(self):
         assert apply_pvalue_constraint(((0, 0), (1, 1)), None)
 
+    def test_bins_that_do_not_touch_pass(self):
+        agg = binary_agg([5, 5, 5], [5, 5, 5])
+        pairs = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.05)
+        assert pairs.masks[2][0, 0]             # bin 0..1 then bin 2..2
+        assert not apply_pvalue_constraint(((0, 1), (2, 2)), pairs)
+        assert apply_pvalue_constraint(((0, 0), (2, 2)), pairs)
+        assert not pairs.blocks(0, 0, 2, 2)
+
     def test_solver_respects_it(self):
         agg = binary_agg([5, 5], [5, 5])
         pairs = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.05)
