@@ -237,10 +237,6 @@ class PValuePairs:
         for mask in self.masks:
             mask.setflags(write=False)
 
-    def blocks(self, prev_end: int, prev_start: int, end: int, start: int) -> bool:
-        return (start == prev_end + 1
-                and bool(self.masks[start][prev_start, end - start]))
-
     @cached_property
     def pairs(self) -> frozenset:
         """Every blocked pair as a quadruple (i, j, k, l) of ints: bin j..i

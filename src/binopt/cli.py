@@ -214,16 +214,17 @@ def _parse_trend(text: str):
 # fitting
 # --------------------------------------------------------------------------- #
 
-def _pool_stats(ys, target_kind: TargetKind, ne_total: float,
-                e_total: float) -> BinStats:
-    """Stats of an out-of-optimization pool (special / missing / others).
+def _bin_stats(target_kind: TargetKind, count: int, target, ne_total: float,
+               e_total: float) -> BinStats:
+    """Stats of a bin or a pool (special / missing / others) of ``count``
+    records; ``target`` is its event count (binary), its target sum
+    (continuous) or its class counts (multi-class).
 
     WoE and divergence columns fall back to 0 whenever a count that the
     formula needs is zero, so empty pools always render as neutral rows.
     """
-    count = len(ys)
     if target_kind.is_binary:
-        event = int(np.sum(ys))
+        event = int(target)
         nonevent = count - event
         rate = event / count if count else 0.0
         w = iv = js = 0.0
@@ -237,13 +238,24 @@ def _pool_stats(ys, target_kind: TargetKind, ne_total: float,
         return BinStats(count=count, nonevent=nonevent, event=event,
                         event_rate=rate, woe=w, iv_contrib=iv, js_contrib=js)
     if target_kind.is_continuous:
-        # a left-to-right sum, as np.bincount gives the pre-bin totals;
-        # np.sum's pairwise order could change the last bits
-        total = float(sum(ys.tolist()))
+        total = float(target)
         return BinStats(count=count, sum=total,
                         mean=total / count if count else 0.0)
-    counts = np.bincount(ys, minlength=target_kind.n_classes)
-    return BinStats(count=count, class_counts=tuple(counts.tolist()))
+    return BinStats(count=count, class_counts=tuple(target))
+
+
+def _pool_stats(ys, target_kind: TargetKind, ne_total: float,
+                e_total: float) -> BinStats:
+    """Stats of the pool of records whose targets are ``ys``."""
+    if target_kind.is_binary:
+        target = int(np.sum(ys))
+    elif target_kind.is_continuous:
+        # a left-to-right sum, as np.bincount gives the pre-bin totals;
+        # np.sum's pairwise order could change the last bits
+        target = sum(ys.tolist())
+    else:
+        target = np.bincount(ys, minlength=target_kind.n_classes).tolist()
+    return _bin_stats(target_kind, len(ys), target, ne_total, e_total)
 
 
 def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
@@ -328,31 +340,11 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
         out_count = len(ys_special) + len(ys_missing) + len(ys_others)
         e_total = float(np.sum(table.event)) + out_events
         ne_total = float(np.sum(table.nonevent)) + (out_count - out_events)
-    bins = []
-    transform_values = []
-    for s, e in sol.intervals:
-        count = int(np.sum(table.count[s:e + 1]))
-        if target_kind.is_binary:
-            ne = int(np.sum(table.nonevent[s:e + 1]))
-            ev = int(np.sum(table.event[s:e + 1]))
-            w = aggregate.woe(ne, ev, ne_total, e_total)
-            bins.append(BinStats(
-                count=count, nonevent=ne, event=ev, event_rate=ev / count,
-                woe=w,
-                iv_contrib=aggregate.divergence_contrib(
-                    ne / ne_total, ev / e_total, "iv"),
-                js_contrib=aggregate.divergence_contrib(
-                    ne / ne_total, ev / e_total, "jsd")))
-            transform_values.append(w)
-        elif target_kind.is_continuous:
-            total = float(np.sum(table.total[s:e + 1]))
-            mean = total / count
-            bins.append(BinStats(count=count, sum=total, mean=mean))
-            transform_values.append(mean)
-        else:
-            counts = tuple(int(np.sum(table.class_events[c][s:e + 1]))
-                           for c in range(target_kind.n_classes))
-            bins.append(BinStats(count=count, class_counts=counts))
+    binned = preprocess.merge_runs(table, [s for s, _ in sol.intervals])
+    targets = (binned.event if target_kind.is_binary else binned.total
+               if target_kind.is_continuous else binned.class_events.T).tolist()
+    bins = [_bin_stats(target_kind, count, target, ne_total, e_total)
+            for count, target in zip(binned.count.tolist(), targets)]
 
     special = _pool_stats(ys_special, target_kind, ne_total, e_total)
     missing = _pool_stats(ys_missing, target_kind, ne_total, e_total)
@@ -374,25 +366,18 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     else:
         trend_text = ",".join(t.as_text() for t in sol.trend_used)
 
-    model_splits = ()
-    model_groups = ()
-    if dtype == NUMERIC:
-        model_splits = tuple(float(table.splits[e]) for _, e in sol.intervals[:-1])
-    else:
-        model_groups = tuple(
-            tuple(lab for g in table.groups[s:e + 1] for lab in g)
-            for s, e in sol.intervals)
+    def value(b):
+        return b.woe if target_kind.is_binary else b.mean
 
     return BinningModel(
         variable=variable, dtype=dtype, target_kind=target_kind,
-        splits=model_splits, groups=model_groups, others=tuple(others),
+        splits=binned.splits, groups=binned.groups, others=tuple(others),
         bins=tuple(bins), special=special, missing=missing,
         others_stats=others_stats,
-        transform_values=tuple(transform_values),
-        special_value=special.woe if target_kind.is_binary else special.mean,
-        missing_value=missing.woe if target_kind.is_binary else missing.mean,
-        others_value=(others_stats.woe if target_kind.is_binary
-                      else others_stats.mean) if others_stats else 0.0,
+        transform_values=() if target_kind.is_multiclass
+        else tuple(map(value, bins)),
+        special_value=value(special), missing_value=value(missing),
+        others_value=value(others_stats) if others_stats else 0.0,
         quality=q, objective=float(sol.objective), trend_used=trend_text,
         config=cfg)
 

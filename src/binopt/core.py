@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 
 # --------------------------------------------------------------------------- #
@@ -226,6 +226,11 @@ class BinningConfig:
 
 def _is_count(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
+
+
+def _is_real(x) -> bool:
+    """Is ``x`` a real number (NaN and inf included), not a bool?"""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _is_nonneg_finite(x) -> bool:
@@ -484,8 +489,36 @@ class BinningModel:
             trend_used=d["trend_used"],
             config=cfg,
         )
+        model._check_values()
         model._check_bins()
         return model
+
+    def _check_values(self) -> None:
+        """Raise InputError unless the target kind is known and every field
+        that transform and report read as a number is a real number: splits,
+        per-bin and pool statistics, transform and pool values, quality (or
+        None), objective, and a numeric model's special values."""
+        kind = self.target_kind
+        if kind.kind not in (BINARY, CONTINUOUS) and not (
+                kind.kind == MULTICLASS and _is_count(kind.n_classes)
+                and kind.n_classes >= 3):
+            raise InputError("malformed model file: unknown target kind {!r}"
+                             .format(kind))
+        values = [*self.splits, *self.transform_values, self.special_value,
+                  self.missing_value, self.others_value, self.objective]
+        if self.quality is not None:
+            values.append(self.quality)
+        for b in (*self.bins, self.special, self.missing, self.others_stats):
+            if b is not None:
+                values += [getattr(b, f.name) for f in fields(BinStats)
+                           if f.name != "class_counts"]
+                values += b.class_counts
+        if self.dtype == "numeric":
+            values += self.config.special_values
+        for v in values:
+            if not _is_real(v):
+                raise InputError("malformed model file: {!r} is not a "
+                                 "number".format(v))
 
     def _check_bins(self) -> None:
         """Raise InputError unless splits or groups, per-bin statistics and
@@ -501,6 +534,11 @@ class BinningModel:
                                  "strictly ascending")
         elif self.dtype == "categorical":
             what, parts, n = "groups", self.groups, len(self.groups)
+            label = next((lab for g in parts for lab in g
+                          if not isinstance(lab, str)), None)
+            if label is not None:
+                raise InputError("malformed model file: category {!r} is not "
+                                 "a string".format(label))
         else:
             raise InputError("malformed model file: unknown dtype {!r}"
                              .format(self.dtype))

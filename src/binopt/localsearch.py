@@ -156,21 +156,21 @@ def _check_time_limit(time_limit: float | None) -> None:
 
 def ls_solve(agg: AggregateSet, cfg: BinningConfig,
              pairs: PValuePairs | None = None, *,
-             seed: int = 0, restarts: int = 12, max_moves: int | None = None,
+             seed: int = 0, restarts: int = 12,
              time_limit: float | None = None) -> Solution:
     """Steepest-descent local search with random restarts.
 
     Starts from the all-singletons and single-bin encodings, then from random
     encodings with bin counts drawn inside the configured bounds.  Each
     restart walks to a local optimum of (feasibility, objective), moving only
-    on strict improvement; the best feasible partition across restarts is
-    returned with status FEASIBLE (never a claim of optimality).  With
-    nothing feasible met the status is INFEASIBLE when every search ran to
-    its end, and TIME_LIMIT when the time ran out first.  Auto trends are
-    resolved with local-search sub-solves before the main run, as ``solve``
-    resolves them.  ``time_limit`` (seconds, >= 0) caps all of these runs
-    together: each one may use the time left split evenly over the runs
-    still to come.
+    on strict improvement and at most 10 n times; the best feasible
+    partition across restarts is returned with status FEASIBLE (never a
+    claim of optimality).  With nothing feasible met the status is
+    INFEASIBLE when every search ran to its end, and TIME_LIMIT when the time
+    ran out first.  Auto trends are resolved with local-search sub-solves
+    before the main run, as ``solve`` resolves them.  ``time_limit``
+    (seconds, >= 0) caps all of these runs together: each one may use the
+    time left split evenly over the runs still to come.
     """
     validate_config(cfg)
     _check_time_limit(time_limit)
@@ -187,15 +187,13 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
             now = time.monotonic()
             cap = now + (deadline - now) / left
         left -= 1
-        return _descend(sub_agg, sub_cfg, sub_pairs, seed, restarts,
-                        max_moves, cap)
+        return _descend(sub_agg, sub_cfg, sub_pairs, seed, restarts, cap)
 
     return _resolve(agg, cfg, pairs, search)
 
 
 def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
-             seed: int, restarts: int, max_moves: int | None,
-             deadline: float | None) -> Solution:
+             seed: int, restarts: int, deadline: float | None) -> Solution:
     """The local search for concrete trends, stopping at ``deadline``.
 
     A neighbour is scored from the per-bin tables: its bins are the current
@@ -209,8 +207,6 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
     rng = np.random.default_rng(seed)
     b_min = max(1, cfg.min_bins)
     b_max = min(n, cfg.max_bins if cfg.max_bins is not None else n)
-    if max_moves is None:
-        max_moves = 10 * n
 
     def start(k: int) -> list:
         if k == 0:
@@ -238,7 +234,7 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
         intervals = decode(start(k)).intervals
         bad_bins = sum(tab.bad[e][s] for s, e in intervals)
         key, obj = _score(intervals, tab, bad_bins)
-        for _ in range(max_moves):
+        for _ in range(10 * n):
             if out_of_time():
                 cut = True
                 break

@@ -6,6 +6,10 @@ of ordered "pre-bins" (equal-frequency for numeric columns, one per category
 for categorical ones), and per-pre-bin counts are tabulated.  The solver then
 merges contiguous runs of pre-bins.
 
+Every merge of adjacent pre-bins is one fold, ``merge_runs``.  The pre-bin
+floor, empty pre-bins and refinement pick its runs in one greedy pass
+(``_runs``); the fit folds the refined table over the solved bins.
+
 Numeric intervals are half-open: with splits s0 < s1 < ... the pre-bins are
 (-inf, s0), [s0, s1), ..., [s_last, inf); a value equal to a split falls in the
 bin to the split's right.
@@ -14,6 +18,7 @@ bin to the split's right.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,11 +78,11 @@ def split_missing_special(values, target, special_values=()):
 def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05):
     """Equal-frequency pre-binning of a clean numeric column.
 
-    Returns the ascending tuple of interior split points.  Quantile candidates
-    that would create an empty pre-bin (massive ties) are dropped, then
-    undersized pre-bins (< prebin_min_frac of records) are merged rightward
-    (the last one leftward) until every pre-bin is large enough.  At most
-    ``prebin_count`` pre-bins result, each holding at least one record.
+    Returns the ascending tuple of interior split points.  Pre-bins under
+    the quantile candidates that are empty (massive ties) or undersized
+    (< prebin_min_frac of records) are merged rightward (the last one
+    leftward) until every pre-bin is large enough.  At most ``prebin_count``
+    pre-bins result, each holding at least one record.
     """
     x = np.asarray(values, dtype=float)
     if x.size == 0:
@@ -91,35 +96,13 @@ def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05
     if prebin_count <= 1:
         return ()
 
-    qs = np.quantile(x, np.linspace(0.0, 1.0, prebin_count + 1)[1:-1])
-    splits = np.unique(qs)
-    # a split at or below the minimum (or above the maximum) makes an empty
-    # outer pre-bin; quantile ties do this routinely
-    splits = splits[(splits > distinct[0]) & (splits <= distinct[-1])]
-
+    splits = np.unique(
+        np.quantile(x, np.linspace(0.0, 1.0, prebin_count + 1)[1:-1]))
     min_count = max(1, math.ceil(prebin_min_frac * x.size))
     counts = np.bincount(np.searchsorted(splits, x, side="right"),
                          minlength=splits.size + 1)
-    return tuple(_merge_small(splits, counts, min_count).tolist())
-
-
-def _merge_small(splits, counts, min_count: int) -> np.ndarray:
-    """Drop splits until every pre-bin holds at least ``min_count`` records.
-
-    ``counts`` are the per-pre-bin record counts under ``splits``.  The
-    leftmost undersized pre-bin loses the split on its right (the last
-    pre-bin the one on its left), which adds its count to its neighbour's,
-    so no record is looked at again.
-    """
-    splits, counts = list(splits), counts.tolist()
-    while splits:
-        small = next((i for i, c in enumerate(counts) if c < min_count), None)
-        if small is None:
-            break
-        drop = min(small, len(splits) - 1)
-        del splits[drop]
-        counts[drop] += counts.pop(drop + 1)
-    return np.asarray(splits, dtype=float)
+    starts = _count_runs(counts, min_count)
+    return tuple(splits[np.asarray(starts[1:], dtype=np.intp) - 1].tolist())
 
 
 def prebin_categorical(values, target, cutoff: float = 0.0,
@@ -155,6 +138,9 @@ def prebin_categorical(values, target, cutoff: float = 0.0,
 # pre-bin tables
 # --------------------------------------------------------------------------- #
 
+_COUNTS = ("count", "nonevent", "event", "total", "class_events")
+
+
 @dataclass(frozen=True)
 class PrebinTable:
     """Per-pre-bin counts for one column, ordered left to right.
@@ -176,8 +162,7 @@ class PrebinTable:
     groups: tuple = ()
 
     def __post_init__(self):
-        for arr in (self.count, self.nonevent, self.event, self.total,
-                    self.class_events):
+        for arr in (getattr(self, f) for f in _COUNTS):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -210,19 +195,11 @@ def build_prebin_table(values, target, target_kind: TargetKind, *,
                 pos[str(lab)] = g
         distinct, codes = label_codes(values)
         idx = np.array([pos[str(v)] for v in distinct], dtype=np.intp)[codes]
-        n = len(groups)
-        kept_groups = tuple(tuple(g) for g in groups)
-        kept_splits = ()
+        n, splits, groups = len(groups), (), tuple(tuple(g) for g in groups)
     else:
         s = np.sort(np.asarray(() if splits is None else splits, dtype=float))
-        x = np.asarray(values, dtype=float)
-        idx = np.searchsorted(s, x, side="right")
-        kept = _merge_small(s, np.bincount(idx, minlength=s.size + 1), 1)
-        if kept.size < s.size:
-            idx = np.searchsorted(kept, x, side="right")
-        n = kept.size + 1
-        kept_splits = tuple(kept.tolist())
-        kept_groups = ()
+        idx = np.searchsorted(s, np.asarray(values, dtype=float), side="right")
+        n, splits, groups = s.size + 1, tuple(s.tolist()), ()
 
     count = np.bincount(idx, minlength=n).astype(np.int64)
 
@@ -237,61 +214,71 @@ def build_prebin_table(values, target, target_kind: TargetKind, *,
             np.bincount(idx[y == c], minlength=n).astype(np.int64)
             for c in range(target_kind.n_classes)
         ])
-    return PrebinTable(target=target_kind, count=count, nonevent=nonevent,
-                       event=event, total=total, class_events=class_events,
-                       splits=kept_splits, groups=kept_groups)
+    table = PrebinTable(target=target_kind, count=count, nonevent=nonevent,
+                        event=event, total=total, class_events=class_events,
+                        splits=splits, groups=groups)
+    # a run holds one nonempty pre-bin: its sums add zeros to that one's
+    return merge_runs(table, _count_runs(count, 1)) if splits else table
 
 
 # --------------------------------------------------------------------------- #
-# refinement (zero-count merging)
+# run merging and refinement
 # --------------------------------------------------------------------------- #
 
-def _merge_adjacent(table: PrebinTable, i: int) -> PrebinTable:
-    """Merge pre-bins i and i+1 into one."""
-
-    def fold(arr, axis=-1):
-        if arr is None:
-            return None
-        out = np.delete(arr, i + 1, axis=axis)
-        sl = [slice(None)] * out.ndim
-        sl[axis] = i
-        take = [slice(None)] * arr.ndim
-        take[axis] = i + 1
-        out = out.copy()
-        out[tuple(sl)] = out[tuple(sl)] + arr[tuple(take)]
-        return out
-
-    splits = table.splits
-    groups = table.groups
-    if splits:
-        splits = splits[:i] + splits[i + 1:]
-    if groups:
-        groups = groups[:i] + (groups[i] + groups[i + 1],) + groups[i + 2:]
-    return replace(
-        table,
-        count=fold(table.count),
-        nonevent=fold(table.nonevent),
-        event=fold(table.event),
-        total=fold(table.total),
-        class_events=fold(table.class_events),
-        splits=splits,
-        groups=groups,
-    )
-
-
-def _refine(table: PrebinTable, violates) -> PrebinTable:
-    """Merge pre-bins flagged by ``violates`` rightward until a fixpoint.
-
-    Repeated left-to-right passes: the first violating pre-bin merges with its
-    right neighbor (the last one with its left neighbor), then the scan
-    restarts.  Terminates because each merge reduces the pre-bin count.
+def _runs(n: int, ok) -> list:
+    """Run starts of one left-to-right pass over ``n`` pre-bins: the run
+    from ``start`` closes at the first ``i`` where ``ok(start, i)`` holds, and
+    a tail that never does joins the run before it (``[0]`` if none closes).
     """
-    while True:
-        n = table.n
-        bad = next((i for i in range(n) if violates(table, i)), None)
-        if bad is None:
-            return table
-        table = _merge_adjacent(table, bad if bad < n - 1 else n - 2)
+    starts, start = [], 0
+    for i in range(n):
+        if ok(start, i):
+            starts.append(start)
+            start = i + 1
+    return starts or [0]
+
+
+def _count_runs(counts, min_count: int) -> list:
+    """Run starts that give every run at least ``min_count`` records."""
+    p = [0, *np.cumsum(counts).tolist()]      # pre-bins s..i: p[i + 1] - p[s]
+    return _runs(len(p) - 1, lambda s, i: p[i + 1] - p[s] >= min_count)
+
+
+def merge_runs(table: PrebinTable, starts) -> PrebinTable:
+    """Fold ``table`` over the runs of pre-bins that begin at ``starts``.
+
+    ``starts`` ascends from 0.  Each run's counts are its pre-bins' sums
+    (numpy's pairwise sum, as ``np.sum`` adds), the splits between runs are
+    kept and each run's groups are concatenated.  With one run per pre-bin
+    the table itself is returned.
+    """
+    if len(starts) == table.n:
+        return table
+    bounds = list(zip(starts, [*starts[1:], table.n]))
+
+    def fold(arr):
+        return None if arr is None else np.stack(
+            [arr[..., s:e].sum(axis=-1, dtype=arr.dtype) for s, e in bounds],
+            axis=-1)
+
+    return replace(
+        table, **{f: fold(getattr(table, f)) for f in _COUNTS},
+        splits=tuple(table.splits[s - 1] for s in starts[1:])
+        if table.splits else (),
+        groups=tuple(tuple(lab for g in table.groups[s:e] for lab in g)
+                     for s, e in bounds) if table.groups else ())
+
+
+def _merge_unmixed(table: PrebinTable, classes) -> PrebinTable:
+    """Merge runs of pre-bins until each holds, for every class (row of
+    ``classes``), a record in it and one outside it.  A run that meets this
+    keeps meeting it as it grows, so the greedy pass merges the first pre-bin
+    that fails into its right neighbour (the last into its left) until none
+    fails."""
+    rows = np.concatenate([classes, table.count - classes])
+    p = [[0] * len(rows), *np.cumsum(rows, axis=1).T.tolist()]
+    return merge_runs(table, _runs(
+        table.n, lambda s, i: all(map(operator.lt, p[s], p[i + 1]))))
 
 
 def refine_prebins(table: PrebinTable) -> PrebinTable:
@@ -304,9 +291,7 @@ def refine_prebins(table: PrebinTable) -> PrebinTable:
         raise ValueError("refine_prebins expects a binary-target table")
     if int(table.event.sum()) == 0 or int(table.nonevent.sum()) == 0:
         raise InfeasibleError("column has zero events or zero non-events")
-    return _refine(
-        table, lambda t, i: t.event[i] == 0 or t.nonevent[i] == 0
-    )
+    return _merge_unmixed(table, table.event[None])
 
 
 def refine_prebins_multiclass(table: PrebinTable) -> PrebinTable:
@@ -325,9 +310,4 @@ def refine_prebins_multiclass(table: PrebinTable) -> PrebinTable:
             raise InfeasibleError("class {} is absent from the data".format(c))
         if tot == n_rec:
             raise InfeasibleError("class {} owns every record".format(c))
-
-    def violates(t, i):
-        ev = t.class_events[:, i]
-        return bool(np.any(ev == 0) or np.any(ev == t.count[i]))
-
-    return _refine(table, violates)
+    return _merge_unmixed(table, table.class_events)

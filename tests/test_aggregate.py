@@ -233,13 +233,11 @@ class TestPValuePairs:
         agg = build_binary(binary_table([5, 5], [5, 5]))
         pp = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.05)
         assert (0, 0, 1, 1) in pp.pairs
-        assert pp.blocks(0, 0, 1, 1)
 
     def test_extreme_rates_are_separated(self):
         agg = build_binary(binary_table([50, 5], [5, 50]))
         pp = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.05)
         assert (0, 0, 1, 1) not in pp.pairs
-        assert not pp.blocks(0, 0, 1, 1)
 
     def test_threshold_is_normal_quantile(self):
         agg = build_binary(binary_table([5, 5], [5, 5]))

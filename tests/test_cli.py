@@ -656,6 +656,24 @@ class TestTransformCommand:
          "trend 5 is not a string"),
         ("binary", lambda d: d["config"].__setitem__("trend", [1]),
          "trend [1] is not a string"),
+        ("binary", lambda d: d["config"].__setitem__(
+            "special_values", ["abc"]), "'abc' is not a number"),
+        ("binary", lambda d: d["transform_values"].__setitem__(0, "w"),
+         "'w' is not a number"),
+        ("continuous", lambda d: d.__setitem__("missing_value", "m"),
+         "'m' is not a number"),
+        ("binary", lambda d: d.__setitem__("special_value", "s"),
+         "'s' is not a number"),
+        ("binary", lambda d: d["target_kind"].__setitem__("kind", "weird"),
+         "unknown target kind"),
+        ("binary", lambda d: d["bins"][0].__setitem__("count", "10"),
+         "'10' is not a number"),
+        ("binary", lambda d: d.__setitem__("quality", "high"),
+         "'high' is not a number"),
+        ("binary", lambda d: d.__setitem__("quality", True),
+         "True is not a number"),
+        ("binary", lambda d: d.__setitem__("objective", "0.1"),
+         "'0.1' is not a number"),
     ])
     def test_malformed_numeric_model_is_3(self, binary_csv, tmp_path, capsys,
                                           target_kind, edit, message):
@@ -678,6 +696,16 @@ class TestTransformCommand:
         self._check_rejected(model_path, categorical_csv,
                              lambda d: d["groups"].pop(), "groups for", capsys)
 
+    def test_non_string_category_is_3(self, categorical_csv, tmp_path, capsys):
+        model_path = str(tmp_path / "cat.json")
+        code, _, _ = run(capsys, [
+            "fit", "--data", categorical_csv, "--variable", "housing",
+            "--target", "default", "--model", model_path])
+        assert code == 0
+        self._check_rejected(model_path, categorical_csv,
+                             lambda d: d["groups"][0].append(5),
+                             "category 5 is not a string", capsys)
+
     @staticmethod
     def _check_rejected(model_path, data, edit, message, capsys):
         with open(model_path) as fh:
@@ -689,7 +717,7 @@ class TestTransformCommand:
                      ["report", "--model", model_path]):
             code, out, err = run(capsys, argv)
             assert code == 3
-            assert message in err and "malformed model file" in err
+            assert message in err and "error: malformed model file" in err
             assert "Traceback" not in err and out == ""
 
 

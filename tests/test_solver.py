@@ -171,7 +171,6 @@ class TestPValueConstraint:
         assert pairs.masks[2][0, 0]             # bin 0..1 then bin 2..2
         assert not apply_pvalue_constraint(((0, 1), (2, 2)), pairs)
         assert apply_pvalue_constraint(((0, 0), (2, 2)), pairs)
-        assert not pairs.blocks(0, 0, 2, 2)
 
     def test_solver_respects_it(self):
         agg = binary_agg([5, 5], [5, 5])
