@@ -525,7 +525,9 @@ class BinningModel:
         transform values describe the same bins.
 
         ``bins`` may be empty: a model built by hand can carry no per-bin
-        statistics.  Multi-class models have no transform values.
+        statistics.  Each bin must hold a record, and a binary bin's
+        non-events and events must add up to its records.  Multi-class
+        models have no transform values.
         """
         if self.dtype == "numeric":
             what, parts, n = "splits", self.splits, len(self.splits) + 1
@@ -549,6 +551,15 @@ class BinningModel:
                 len(self.transform_values) != n:
             raise InputError("malformed model file: {} transform values for "
                              "{} bins".format(len(self.transform_values), n))
+        for i, b in enumerate(self.bins):
+            if not b.count >= 1:
+                raise InputError("malformed model file: bin {} holds {} "
+                                 "records".format(i, b.count))
+            if self.target_kind.is_binary and b.nonevent + b.event != b.count:
+                raise InputError(
+                    "malformed model file: bin {} holds {} non-events and {} "
+                    "events but {} records".format(i, b.nonevent, b.event,
+                                                   b.count))
 
     @classmethod
     def from_json(cls, text: str) -> "BinningModel":

@@ -11,10 +11,17 @@ helper sequences are derived from x by linear recurrences:
   pre-bins (i - z[i]) .. i.
 
 The search is steepest descent over single-bit flips and boundary shifts with
-random restarts.  It scores a candidate with the checks and objective of the
-whole-partition evaluator the oracle uses, read from per-bin tables and
-updated only for the bins a move changes; it never claims optimality, and is
-deterministic for a fixed seed when no wall-clock cap cuts it short.
+random restarts; it never claims optimality, and is deterministic for a fixed
+seed when no wall-clock cap cuts it short.  A move replaces one or two bins of
+the current partition X, and its neighbour gets the key the whole-partition
+checks and objective give it, read from per-bin tables and from what is
+computed once per step for X's prefixes: each trend's branch-and-bound gate
+state (``solver._gate``) after every prefix, where X's first and last blocked
+adjacent pair lie, and X's objective sums in path order.  The neighbour's
+gates start from X's state before the move and step over its new bins, then
+over the kept bins only until a state equals X's after the same bin, since the
+rest is X's; its p-value check reads the pairs next to the new bins; and its
+objective continues X's prefix sum.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from .core import (
 )
 from .aggregate import AggregateSet, PValuePairs
 from .solver import (
-    evaluate_partition, _objective, _resolve, _search_count, _tables,
-    _violated_groups,
+    evaluate_partition, _gate, _objective, _penalized, _resolve,
+    _search_count, _tables, _violated_groups,
 )
 
 
@@ -122,11 +129,11 @@ def _moves(intervals: tuple):
             yield i, 2, ((s, e + 1), (e + 2, e2))
 
 
-def _score(intervals, tab, bad_bins):
+def _score(intervals, tab):
     """(key, objective) of a partition: ``(1, objective)`` (negated when
     minimizing) when feasible, else ``(0, -violations)`` with the objective
-    NaN.  ``bad_bins`` is its bins' total of broken per-bin bounds."""
-    broken = sum(_violated_groups(intervals, tab, bad_bins))
+    NaN."""
+    broken = sum(_violated_groups(intervals, tab))
     if broken:
         return (0, -float(broken)), math.nan
     obj = _objective(intervals, tab)
@@ -134,17 +141,94 @@ def _score(intervals, tab, bad_bins):
 
 
 def _neighbours(intervals: tuple, bad_bins: int, tab):
-    """``(key, intervals, objective, bad_bins)`` of each neighbour, in
-    ``_moves`` order; only the bins a move changes update ``bad_bins``."""
-    bad = tab.bad
+    """``(key, objective, move, bad_bins)`` of each neighbour of the
+    partition X = ``intervals``, in ``_moves`` order; the move ``(i, drop,
+    add)`` makes the neighbour ``X[:i] + add + X[i + drop:]``, and
+    ``bad_bins`` is its bins' total of broken per-bin bounds.  The key is
+    the one ``_score`` gives the whole neighbour.
+
+    X's gate states, blocked pairs and objective sums are read once per
+    call, as the module docstring says.  A gate that stops before the last
+    bin takes X's final state as its own, a neighbour's p-value check reads
+    X's blocked pairs before bin ``i`` and from bin ``i + drop`` on, and
+    only a feasible neighbour sums its objective.
+    """
+    m = len(intervals)
+    cfg = tab.cfg
+    obj, bad, records = tab.obj, tab.bad, tab.records
+    # bins short of or over the bin-count bounds, by the change in count
+    short_or_over = {d: max(cfg.min_bins - m - d, 0)
+                     + max(m + d - tab.b_max, 0) for d in (-1, 0, 1)}
+    gates = []
+    for trend, table in zip(tab.trends, tab.rates):
+        gate = _gate(trend, intervals[-1][1] + 1, cfg.min_diff)
+        if gate is None:
+            continue
+        step, state = gate
+        states = [state]                  # states[r]: after the bins X[:r]
+        for s, e in intervals:
+            if state is not None:
+                state = step(state, table[e][s], e)
+            states.append(state)
+        gates.append((step, table, states))
+    masks = None
+    if tab.pvalue is not None:
+        # masks[l][j, k - l]: bin j..l-1 may not precede bin l..k; the
+        # memoryviews index like the arrays at a fraction of the cost
+        masks = [memoryview(mask) for mask in tab.pvalue.masks]
+        joint = [r for r, ((s1, _), (s2, e2)) in
+                 enumerate(zip(intervals, intervals[1:]))
+                 if masks[s2][s1, e2 - s2]]
+        # X[:r] holds no blocked pair for r <= lo, X[r:] none for r >= hi
+        lo, hi = (joint[0] + 1, joint[-1] + 1) if joint else (m, 0)
+    sums = [0.0]                          # sums[r]: X[:r]'s objective
+    for s, e in intervals:
+        sums.append(sums[-1] + obj[e][s])
+    if tab.gamma:
+        counts = [records[e][s] for s, e in intervals]
+
     for i, drop, add in _moves(intervals):
+        j = i + drop
         y_bad = bad_bins
-        for s, e in intervals[i:i + drop]:
+        for s, e in intervals[i:j]:
             y_bad -= bad[e][s]
         for s, e in add:
             y_bad += bad[e][s]
-        y = intervals[:i] + add + intervals[i + drop:]
-        yield (*_score(y, tab, y_bad), y, y_bad)
+        broken = y_bad + short_or_over[len(add) - drop]
+        for step, table, states in gates:
+            state = states[i]
+            for s, e in add:
+                if state is None:
+                    break
+                state = step(state, table[e][s], e)
+            r = j
+            while state is not None and r < m:
+                s, e = intervals[r]
+                r += 1
+                state = step(state, table[e][s], e)
+                if state == states[r]:
+                    state = states[m]
+                    break
+            broken += state is None
+        if masks is not None:
+            seq = intervals[max(i - 1, 0):i] + add + intervals[j:j + 1]
+            broken += not (lo >= i and hi <= j and not any(
+                masks[s2][s1, e2 - s2]
+                for (s1, _), (s2, e2) in zip(seq, seq[1:])))
+        if broken:
+            yield (0, -float(broken)), math.nan, (i, drop, add), y_bad
+            continue
+        total = sums[i]
+        for s, e in add:
+            total += obj[e][s]
+        for s, e in intervals[j:]:
+            total += obj[e][s]
+        if tab.gamma:
+            total = _penalized(
+                total, counts[:i] + [records[e][s] for s, e in add]
+                + counts[j:], tab)
+        yield ((1, -total if tab.minimize else total), total, (i, drop, add),
+               y_bad)
 
 
 def _check_time_limit(time_limit: float | None) -> None:
@@ -196,11 +280,10 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
              seed: int, restarts: int, deadline: float | None) -> Solution:
     """The local search for concrete trends, stopping at ``deadline``.
 
-    A neighbour is scored from the per-bin tables: its bins are the current
-    ones with one or two replaced, the broken per-bin bounds are kept as a
-    running total, and the other checks and the objective read the tables.
-    The key is the one ``evaluate_partition`` and ``_violated_groups`` give
-    the whole partition, which rechecks the partition returned.
+    Each step scores every neighbour with ``_neighbours`` and builds the
+    bins of the best one only.  The keys are the ones ``_violated_groups``
+    and ``_objective`` give whole partitions, and ``evaluate_partition``
+    rechecks the partition returned.
     """
     n = agg.n
     tab = _tables(agg, cfg, pairs)
@@ -233,7 +316,7 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
             break
         intervals = decode(start(k)).intervals
         bad_bins = sum(tab.bad[e][s] for s, e in intervals)
-        key, obj = _score(intervals, tab, bad_bins)
+        key, obj = _score(intervals, tab)
         for _ in range(10 * n):
             if out_of_time():
                 cut = True
@@ -244,7 +327,8 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
                     move = y
             if move is None or move[0] <= key:
                 break
-            key, obj, intervals, bad_bins = move
+            key, obj, (i, drop, add), bad_bins = move
+            intervals = intervals[:i] + add + intervals[i + drop:]
         if key[0] == 1:
             cand = (key, len(intervals), intervals, obj)
             if best is None or cand[0] > best[0] or (

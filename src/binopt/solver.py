@@ -284,7 +284,7 @@ def _tables(agg: AggregateSet, cfg: BinningConfig,
         obj=obj, rates=rates, records=records, bad=bad, bad_matrix=bad_matrix)
 
 
-def _violated_groups(intervals, tab: _Tables, bad_bins=None):
+def _violated_groups(intervals, tab: _Tables):
     """Yield a positive weight for each constraint group a partition breaks.
 
     The weights are the bins short of or over the bin-count bounds, the
@@ -292,8 +292,7 @@ def _violated_groups(intervals, tab: _Tables, bad_bins=None):
     trend fails and for a broken p-value separation.  Their sum is the
     violation count the local search descends on; the bin-bound group
     yields per bin, so that ``evaluate_partition`` stops at the first bad
-    bin, unless the caller passes ``bad_bins``, the group's total that it
-    keeps up to date itself.  Trends must be concrete.
+    bin.  Trends must be concrete.
     """
     cfg = tab.cfg
     m = len(intervals)
@@ -301,13 +300,10 @@ def _violated_groups(intervals, tab: _Tables, bad_bins=None):
         yield cfg.min_bins - m
     if m > tab.b_max:
         yield m - tab.b_max
-    if bad_bins is None:
-        bad = tab.bad
-        for s, e in intervals:
-            if bad[e][s]:
-                yield bad[e][s]
-    elif bad_bins:
-        yield bad_bins
+    bad = tab.bad
+    for s, e in intervals:
+        if bad[e][s]:
+            yield bad[e][s]
     for table, trend in zip(tab.rates, tab.trends):
         rates = [table[e][s] for s, e in intervals]
         if not _trend_feasible(intervals, rates, trend, cfg.min_diff):
@@ -325,10 +321,15 @@ def _objective(intervals, tab: _Tables):
         total += obj[e][s]
     if tab.gamma:
         records = tab.records
-        pen = tab.gamma * _penalty([records[e][s] for s, e in intervals],
-                                   tab.cfg.concentration)
-        total = total + pen if tab.minimize else total - pen
+        return _penalized(total, [records[e][s] for s, e in intervals], tab)
     return total
+
+
+def _penalized(total: float, counts, tab: _Tables) -> float:
+    """``total`` less (plus, when minimizing) the weighted concentration
+    penalty of bins with record ``counts``, in bin order."""
+    pen = tab.gamma * _penalty(counts, tab.cfg.concentration)
+    return total + pen if tab.minimize else total - pen
 
 
 def evaluate_partition(intervals, agg: AggregateSet, cfg: BinningConfig,

@@ -32,6 +32,8 @@ def _bench(*flags) -> dict:
     # so only cli-csv reaches the tracer's pair count
     (("--workload", "cli-csv", "--trace", "1"), "aggregate.pvalue_pairs.count"),
     (("--workload", "exact-corpus"), None),
+    # the local search returns a partition, which the tracer sees rechecked
+    (("--workload", "ls-wide", "--trace", "1"), "localsearch.evaluations"),
 ])
 def test_bench_runs_clean_at_tiny_scale(flags, counted):
     result = _bench(*flags)

@@ -674,6 +674,17 @@ class TestTransformCommand:
          "True is not a number"),
         ("binary", lambda d: d.__setitem__("objective", "0.1"),
          "'0.1' is not a number"),
+        ("binary", lambda d: d["bins"][0].update(count=0, nonevent=0,
+                                                 event=0),
+         "bin 0 holds 0 records"),
+        ("continuous", lambda d: d["bins"][1].__setitem__("count", 0.5),
+         "bin 1 holds 0.5 records"),
+        ("continuous", lambda d: d["bins"][0].__setitem__("count", math.nan),
+         "bin 0 holds nan records"),
+        ("binary", lambda d: d["bins"][0].__setitem__(
+            "event", d["bins"][0]["event"] + 1), "events but"),
+        ("binary", lambda d: d["bins"][-1].__setitem__("nonevent", -1),
+         "events but"),
     ])
     def test_malformed_numeric_model_is_3(self, binary_csv, tmp_path, capsys,
                                           target_kind, edit, message):

@@ -8,14 +8,14 @@ from binopt import (
     INFEASIBLE, TIME_LIMIT, BinningConfig, InvalidConfigError,
     MalformedEncodingError, TrendSpec,
     apply_pvalue_constraint, check_trend, decode, encode, evaluate_partition,
-    localsearch, ls_objective, ls_solve, solve, with_trend,
+    localsearch, ls_objective, ls_solve, pvalue_pairs, solve, with_trend,
 )
 from binopt.localsearch import _neighbours
 from binopt.solver import _tables, _violated_groups
 
 from helpers import (
-    TREND_FAMILIES, binary_agg, continuous_agg, multiclass_agg,
-    random_binary_agg, random_instance,
+    TREND_FAMILIES, binary_agg, continuous_agg, family_trend, multiclass_agg,
+    random_binary_agg, random_instance, random_multiclass_agg,
 )
 
 
@@ -341,35 +341,122 @@ def _bit_neighbours(x: list, n: int):
             yield y
 
 
+def _check_neighbours(agg, cfg, pairs, intervals, label):
+    """Every neighbour the search scores from the tables has the key the
+    whole-partition checks give its decoded partition, bit for bit, and the
+    neighbours come in the encoding's move order.  Returns the counts of
+    neighbours scored, feasible, and infeasible by their p-value separation
+    alone."""
+    tab = _tables(agg, cfg, pairs)
+    bad_bins = sum(tab.bad[e][s] for s, e in intervals)
+    got = [(key, obj, intervals[:j] + add + intervals[j + drop:], y_bad)
+           for key, obj, (j, drop, add), y_bad
+           in _neighbours(intervals, bad_bins, tab)]
+    x = list(encode(intervals, agg.n))
+    want = [decode(y).intervals for y in _bit_neighbours(x, agg.n)]
+    assert [y for _, _, y, _ in got] == want, label
+    scored = feasible = by_pvalue = 0
+    for key, obj, y, y_bad in got:
+        ok, ref_obj = evaluate_partition(y, agg, cfg, pairs)
+        broken = sum(_violated_groups(y, tab))
+        assert ok == (broken == 0), (label, y)
+        if ok:
+            sign = -1.0 if agg.target.is_continuous else 1.0
+            assert key == (1, sign * ref_obj) and obj == ref_obj, (label, y)
+            assert repr(obj) == repr(ref_obj), (label, y)
+            feasible += 1
+        else:
+            assert key == (0, -float(broken)) and math.isnan(obj), (label, y)
+            by_pvalue += broken == 1 and not apply_pvalue_constraint(y, pairs)
+        assert y_bad == sum(tab.bad[e][s] for s, e in y), (label, y)
+        scored += 1
+    return scored, feasible, by_pvalue
+
+
+def _tied_binary_agg(rng, n):
+    """A binary table whose pre-bins come in runs of three event rates, so
+    that bins tie exactly and gate states repeat along a partition."""
+    kinds = np.repeat(rng.integers(0, 3, n), rng.integers(1, 4, n))[:n]
+    scale = rng.integers(1, 30, n)
+    return binary_agg(scale * np.array([1, 1, 2])[kinds],
+                      scale * np.array([1, 2, 1])[kinds])
+
+
+def _wide_instance(rng, i):
+    """Draw ``i`` of the wide cases: (agg, cfg, pairs).  The draws rotate
+    through binary tables of 20-60 pre-bins with a p-value separation,
+    pinned peaks/valleys, concave/convex, multi-class tables with one trend
+    per class, and tables of tied rates."""
+    families = [f for f in TREND_FAMILIES if f != "auto"]
+    draw = i % 5
+    if draw == 3:
+        agg = random_multiclass_agg(rng, int(rng.integers(10, 31)))
+        k = agg.target.n_classes
+        trend = tuple(family_trend(str(f), rng, agg.n)
+                      for f in rng.choice(families, size=k))
+    elif draw == 4:
+        # a kept bin that ties with the bin before it breaks a chain with a
+        # gap, while a neighbour with a lower (higher) run reaches the state
+        # the partition had before that bin
+        agg = _tied_binary_agg(rng, int(rng.integers(8, 31)))
+        trend = family_trend(str(rng.choice(
+            [f for f in families if f != "none"])), rng, agg.n)
+    else:
+        agg = random_binary_agg(rng, int(rng.integers(20, 61)),
+                                high=int(rng.choice([30, 300])))
+        family = {1: ("peak:pinned", "valley:pinned"),
+                  2: ("concave", "convex")}.get(draw, families)
+        trend = family_trend(str(rng.choice(family)), rng, agg.n)
+    conc = str(rng.choice(["off", "std", "hhi"]))
+    cfg = BinningConfig(
+        min_bins=int(rng.integers(1, 4)),
+        max_bins=None if rng.random() < 0.5 else int(rng.integers(4, 16)),
+        min_bin_size=int(agg.n_records * rng.choice([0.0, 0.02, 0.05])),
+        min_diff=0.01 if draw == 4 else float(rng.choice([0.0, 0.0, 0.01])),
+        concentration=conc, gamma=0.0 if conc == "off" else 0.1, trend=trend)
+    pairs = None
+    if not agg.target.is_multiclass and rng.random() < 0.8:
+        pairs = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.05)
+    return agg, cfg, pairs
+
+
 def test_neighbour_keys_match_whole_partition_scoring():
-    # every neighbour the search scores from the tables has the key the
-    # whole-partition checks give its decoded partition, bit for bit, and
-    # the neighbours come in the encoding's move order
+    # small instances of every target kind, trend family and constraint mix
+    # at random partitions
     rng = np.random.default_rng(78)
     families = [f for f in TREND_FAMILIES if f != "auto"]
-    scored = feasible = 0
+    scored = feasible = by_pvalue = 0
     for i in range(360):
         agg, cfg, pairs = random_instance(rng, families[i % len(families)],
                                           i % 4)
-        tab = _tables(agg, cfg, pairs)
         for _ in range(2):
             x = [*(rng.random(agg.n - 1) < rng.random()).astype(int), 1]
-            intervals = decode(x).intervals
-            bad_bins = sum(tab.bad[e][s] for s, e in intervals)
-            got = list(_neighbours(intervals, bad_bins, tab))
-            want = [decode(y).intervals for y in _bit_neighbours(x, agg.n)]
-            assert [y for _, _, y, _ in got] == want, (i, x)
-            for key, obj, y, y_bad in got:
-                ok, ref_obj = evaluate_partition(y, agg, cfg, pairs)
-                broken = sum(_violated_groups(y, tab))
-                assert ok == (broken == 0)
-                if ok:
-                    sign = -1.0 if agg.target.is_continuous else 1.0
-                    assert key == (1, sign * ref_obj) and obj == ref_obj
-                    assert repr(obj) == repr(ref_obj)
-                    feasible += 1
-                else:
-                    assert key == (0, -float(broken)) and math.isnan(obj)
-                assert y_bad == sum(tab.bad[e][s] for s, e in y)
-                scored += 1
+            counts = _check_neighbours(agg, cfg, pairs, decode(x).intervals,
+                                       (i, x))
+            scored += counts[0]
+            feasible += counts[1]
     assert scored > 5000 and feasible > 500
+    scored = feasible = 0
+    # wide tables, at partitions whose prefix breaks the trend (random
+    # ones), at feasible local optima, and at those with one bit flipped,
+    # where a move's gate states meet the partition's again
+    wide_feasible = 0
+    for i in range(150):
+        agg, cfg, pairs = _wide_instance(rng, i)
+        x = [*(rng.random(agg.n - 1) < rng.random() / 2).astype(int), 1]
+        starts = [decode(x).intervals]
+        sol = ls_solve(agg, cfg, pairs, seed=i, restarts=2)
+        if sol.is_feasible:
+            wide_feasible += 1
+            starts.append(sol.intervals)
+            for flip in rng.choice(agg.n - 1, size=3, replace=False):
+                x = list(encode(sol.intervals, agg.n))
+                x[flip] ^= 1
+                starts.append(decode(x).intervals)
+        for intervals in starts:
+            counts = _check_neighbours(agg, cfg, pairs, intervals,
+                                       (i, intervals))
+            scored += counts[0]
+            feasible += counts[1]
+            by_pvalue += counts[2]
+    assert wide_feasible > 100 and feasible > 1000 and by_pvalue > 800
