@@ -170,12 +170,10 @@ def build_continuous(table: PrebinTable, norm_p: int = 2) -> AggregateSet:
     ``L[i, j]`` is the unweighted p-norm of the deviations of the pre-bin
     means inside the merge from the merged mean ``U[i, j]``.
     """
-    r = np.asarray(table.count, dtype=float)
-    s = np.asarray(table.total, dtype=float)
-    mu = s / r
+    mu = table.means()
     n = table.n
-    R = _merge_counts(r)
-    S = _merge_counts(s)
+    R = _merge_counts(np.asarray(table.count, dtype=float))
+    S = _merge_counts(np.asarray(table.total, dtype=float))
     U = np.zeros((n, n))
     L = np.zeros((n, n))
     for i in range(n):

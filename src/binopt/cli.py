@@ -293,8 +293,6 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
         labels, codes = preprocess.label_codes(xc)
         in_pool = np.array([str(v) in pooled for v in labels], dtype=bool)[codes]
         ys_others = yc[in_pool]
-        if in_pool.all():
-            raise DegenerateColumnError("every category fell into the others pool")
         table = preprocess.build_prebin_table(
             xc[~in_pool], yc[~in_pool], target_kind,
             groups=tuple((c,) for c in cats))

@@ -330,6 +330,9 @@ class Solution:
     ``intervals`` is an ordered tuple of (start, end) inclusive 0-based pre-bin
     pairs partitioning 0..n_prebins-1.  Empty unless feasible.  ``objective``
     includes the concentration term when one is configured.
+    ``change_point``, for one peak/valley on a binary or continuous target,
+    is the pin, or else the first pre-bin of the partition's first change
+    bin (where its first chain ends and its second begins); else None.
     """
 
     status: str
@@ -423,19 +426,9 @@ class BinningModel:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["target_kind"] = {"kind": self.target_kind.kind,
-                            "n_classes": self.target_kind.n_classes}
-        cfg = asdict(self.config)
         trend = self.config.trend
-        if isinstance(trend, TrendSpec):
-            cfg["trend"] = trend.as_text()
-        else:
-            cfg["trend"] = [t.as_text() for t in trend]
-        d["config"] = cfg
-        d["bins"] = [asdict(b) for b in self.bins]
-        d["special"] = asdict(self.special)
-        d["missing"] = asdict(self.missing)
-        d["others_stats"] = asdict(self.others_stats) if self.others_stats else None
+        d["config"]["trend"] = (trend.as_text() if isinstance(trend, TrendSpec)
+                                else [t.as_text() for t in trend])
         return d
 
     def to_json(self) -> str:

@@ -17,11 +17,11 @@ the current partition X, and its neighbour gets the key the whole-partition
 checks and objective give it, read from per-bin tables and from what is
 computed once per step for X's prefixes: each trend's branch-and-bound gate
 state (``solver._gate``) after every prefix, where X's first and last blocked
-adjacent pair lie, and X's objective sums in path order.  The neighbour's
+adjacent pair lie, and X's gain sums in path order.  The neighbour's
 gates start from X's state before the move and step over its new bins, then
 over the kept bins only until a state equals X's after the same bin, since the
 rest is X's; its p-value check reads the pairs next to the new bins; and its
-objective continues X's prefix sum.
+gain continues X's prefix sum.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .core import (
 )
 from .aggregate import AggregateSet, PValuePairs
 from .solver import (
-    evaluate_partition, _gate, _objective, _penalized, _resolve,
+    evaluate_partition, _gate, _in_units, _objective, _penalized, _resolve,
     _search_count, _tables, _violated_groups,
 )
 
@@ -130,28 +130,27 @@ def _moves(intervals: tuple):
 
 
 def _score(intervals, tab):
-    """(key, objective) of a partition: ``(1, objective)`` (negated when
-    minimizing) when feasible, else ``(0, -violations)`` with the objective
-    NaN."""
+    """(key, gain) of a partition: ``(1, gain)`` when feasible, else
+    ``(0, -violations)`` with the gain NaN."""
     broken = sum(_violated_groups(intervals, tab))
     if broken:
         return (0, -float(broken)), math.nan
-    obj = _objective(intervals, tab)
-    return (1, -obj if tab.minimize else obj), obj
+    gain = _objective(intervals, tab)
+    return (1, gain), gain
 
 
 def _neighbours(intervals: tuple, bad_bins: int, tab):
-    """``(key, objective, move, bad_bins)`` of each neighbour of the
+    """``(key, gain, move, bad_bins)`` of each neighbour of the
     partition X = ``intervals``, in ``_moves`` order; the move ``(i, drop,
     add)`` makes the neighbour ``X[:i] + add + X[i + drop:]``, and
     ``bad_bins`` is its bins' total of broken per-bin bounds.  The key is
     the one ``_score`` gives the whole neighbour.
 
-    X's gate states, blocked pairs and objective sums are read once per
+    X's gate states, blocked pairs and gain sums are read once per
     call, as the module docstring says.  A gate that stops before the last
     bin takes X's final state as its own, a neighbour's p-value check reads
     X's blocked pairs before bin ``i`` and from bin ``i + drop`` on, and
-    only a feasible neighbour sums its objective.
+    only a feasible neighbour sums its gain.
     """
     m = len(intervals)
     cfg = tab.cfg
@@ -181,7 +180,7 @@ def _neighbours(intervals: tuple, bad_bins: int, tab):
                  if masks[s2][s1, e2 - s2]]
         # X[:r] holds no blocked pair for r <= lo, X[r:] none for r >= hi
         lo, hi = (joint[0] + 1, joint[-1] + 1) if joint else (m, 0)
-    sums = [0.0]                          # sums[r]: X[:r]'s objective
+    sums = [0.0]                          # sums[r]: X[:r]'s gain
     for s, e in intervals:
         sums.append(sums[-1] + obj[e][s])
     if tab.gamma:
@@ -227,8 +226,7 @@ def _neighbours(intervals: tuple, bad_bins: int, tab):
             total = _penalized(
                 total, counts[:i] + [records[e][s] for s, e in add]
                 + counts[j:], tab)
-        yield ((1, -total if tab.minimize else total), total, (i, drop, add),
-               y_bad)
+        yield (1, total), total, (i, drop, add), y_bad
 
 
 def _check_time_limit(time_limit: float | None) -> None:
@@ -246,7 +244,7 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
 
     Starts from the all-singletons and single-bin encodings, then from random
     encodings with bin counts drawn inside the configured bounds.  Each
-    restart walks to a local optimum of (feasibility, objective), moving only
+    restart walks to a local optimum of (feasibility, gain), moving only
     on strict improvement and at most 10 n times; the best feasible
     partition across restarts is returned with status FEASIBLE (never a
     claim of optimality).  With nothing feasible met the status is
@@ -283,7 +281,7 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
     Each step scores every neighbour with ``_neighbours`` and builds the
     bins of the best one only.  The keys are the ones ``_violated_groups``
     and ``_objective`` give whole partitions, and ``evaluate_partition``
-    rechecks the partition returned.
+    rechecks the partition returned.  The solution's objective is the gain.
     """
     n = agg.n
     tab = _tables(agg, cfg, pairs)
@@ -308,7 +306,7 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
     def out_of_time():
         return deadline is not None and time.monotonic() > deadline
 
-    best = None          # (score_key, n_bins, intervals, objective)
+    best = None          # (score_key, n_bins, intervals, gain)
     cut = False
     for k in range(max(1, restarts)):
         if out_of_time():
@@ -316,7 +314,7 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
             break
         intervals = decode(start(k)).intervals
         bad_bins = sum(tab.bad[e][s] for s, e in intervals)
-        key, obj = _score(intervals, tab)
+        key, gain = _score(intervals, tab)
         for _ in range(10 * n):
             if out_of_time():
                 cut = True
@@ -327,10 +325,10 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
                     move = y
             if move is None or move[0] <= key:
                 break
-            key, obj, (i, drop, add), bad_bins = move
+            key, gain, (i, drop, add), bad_bins = move
             intervals = intervals[:i] + add + intervals[i + drop:]
         if key[0] == 1:
-            cand = (key, len(intervals), intervals, obj)
+            cand = (key, len(intervals), intervals, gain)
             if best is None or cand[0] > best[0] or (
                     cand[0] == best[0] and cand[1] < best[1]):
                 best = cand
@@ -338,11 +336,11 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
     if best is None:
         return Solution(status=TIME_LIMIT if cut else INFEASIBLE,
                         trend_used=cfg.trend, n_prebins=n)
-    _, _, intervals, obj = best
+    _, _, intervals, gain = best
     feasible, recheck = evaluate_partition(intervals, agg, cfg, pairs)
-    if not feasible or recheck != obj:
+    if not feasible or recheck != _in_units(agg, gain):
         raise AssertionError(
             "local search returned a partition failing its own recheck: {} "
-            "obj={} recheck=({}, {})".format(intervals, obj, feasible, recheck))
-    return Solution(status=FEASIBLE, intervals=intervals, objective=obj,
+            "gain={} recheck=({}, {})".format(intervals, gain, feasible, recheck))
+    return Solution(status=FEASIBLE, intervals=intervals, objective=gain,
                     trend_used=cfg.trend, n_prebins=n)

@@ -14,6 +14,12 @@ total mean deviation (continuous targets), subject to:
 - an optional concentration penalty (std / HHI / max-min of bin sizes) scaled
   by ``gamma`` and folded into the objective.
 
+Every search maximizes one gain (``_gain_matrix``): the divergence, or a
+continuous target's deviation negated.  IEEE negation is exact, so each sum,
+bound and key is the deviation's own negated.  The objective goes back to its
+own units as ``0.0 - gain`` (``_in_units``, which keeps a zero deviation
+``0.0``) in ``evaluate_partition`` and where ``_resolve`` finishes an answer.
+
 Monotone and peak/valley trends are read as chains of bin rates (``_chain``),
 and one threshold rule (``_follows``) says whether a rate may follow another:
 the oracle's ``check_trend``, presolve, the completion bound and the search's
@@ -31,14 +37,14 @@ the concentration penalty (``_std_floor`` for std).  A leaf is scored by
 partition's recheck must give the same objective (``==``).
 A brute-force enumerator with independent whole-partition checks
 (``brute_force_oracle``) provides reference semantics for testing; both rank
-partitions by one key (``_rank_key``): better objective, then fewer bins,
-then lexicographically earliest interval start vector.
+partitions by one key (``_rank_key``): greater gain, then fewer bins, then
+lexicographically earliest interval start vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -234,6 +240,19 @@ def _bin_bounds(agg: AggregateSet, cfg: BinningConfig):
             for mat, lo, hi in bounds]
 
 
+def _gain_matrix(agg: AggregateSet) -> np.ndarray:
+    """The gain of each bin, which every search maximizes: its divergence,
+    or a continuous target's deviation negated."""
+    obj = agg.objective_matrix()
+    return -obj if agg.target.is_continuous else obj
+
+
+def _in_units(agg: AggregateSet, gain: float) -> float:
+    """A gain in the objective's own units.  ``0.0 - gain`` turns a zero
+    deviation into ``0.0``, where a unary minus would give ``-0.0``."""
+    return 0.0 - gain if agg.target.is_continuous else gain
+
+
 @dataclass(frozen=True)
 class _Tables:
     """What the whole-partition checks and the objective read for one
@@ -244,9 +263,8 @@ class _Tables:
     pvalue: PValuePairs | None
     trends: tuple          # one TrendSpec per rate matrix
     b_max: int
-    minimize: bool
     gamma: float           # the penalty weight; 0 when no penalty applies
-    obj: list              # objective value of bin s..e
+    obj: list              # gain of bin s..e
     rates: tuple           # one table per rate matrix
     records: list          # record count of bin s..e, for the penalty
     bad: list              # how many per-bin count bounds bin s..e breaks
@@ -264,7 +282,7 @@ def _tables(agg: AggregateSet, cfg: BinningConfig,
     """
     memo = agg.lookups
     if "lists" not in memo:
-        memo["lists"] = (agg.objective_matrix().tolist(),
+        memo["lists"] = (_gain_matrix(agg).tolist(),
                          tuple(mat.tolist() for mat in agg.rate_matrices()),
                          agg.R.tolist())
     obj, rates, records = memo["lists"]
@@ -279,7 +297,6 @@ def _tables(agg: AggregateSet, cfg: BinningConfig,
     return _Tables(
         cfg=cfg, pvalue=pairs, trends=_resolved_trends(agg, cfg),
         b_max=cfg.max_bins if cfg.max_bins is not None else agg.n,
-        minimize=agg.target.is_continuous,
         gamma=cfg.gamma if cfg.concentration != CONC_OFF else 0.0,
         obj=obj, rates=rates, records=records, bad=bad, bad_matrix=bad_matrix)
 
@@ -313,8 +330,8 @@ def _violated_groups(intervals, tab: _Tables):
 
 
 def _objective(intervals, tab: _Tables):
-    """The bins' objective values summed in path order, less (plus, when
-    minimizing) the weighted concentration penalty."""
+    """The bins' gains summed in path order, less the weighted concentration
+    penalty."""
     obj = tab.obj
     total = 0.0
     for s, e in intervals:
@@ -326,21 +343,20 @@ def _objective(intervals, tab: _Tables):
 
 
 def _penalized(total: float, counts, tab: _Tables) -> float:
-    """``total`` less (plus, when minimizing) the weighted concentration
-    penalty of bins with record ``counts``, in bin order."""
-    pen = tab.gamma * _penalty(counts, tab.cfg.concentration)
-    return total + pen if tab.minimize else total - pen
+    """``total`` less the weighted concentration penalty of bins with record
+    ``counts``, in bin order."""
+    return total - tab.gamma * _penalty(counts, tab.cfg.concentration)
 
 
 def evaluate_partition(intervals, agg: AggregateSet, cfg: BinningConfig,
                        pairs: PValuePairs | None = None):
     """Direct whole-partition feasibility check and objective.
 
-    Returns (feasible, objective).  This is the reference scorer: it looks at
-    the complete partition with no incremental state, and is what the
-    returned-solution rechecks of the exact solver and the local search use.
-    A contiguous cover is feasible when ``_violated_groups`` yields nothing.
-    Trends must be concrete (auto is resolved before scoring).
+    Returns (feasible, objective), in the objective's units, not as a gain.
+    This is the reference scorer: it looks at the complete partition with no
+    incremental state, and is what the returned-solution rechecks of the
+    exact solver and the local search use.  A contiguous cover is feasible
+    when ``_violated_groups`` yields nothing.  Trends must be concrete.
     """
     intervals = tuple(intervals)
     if not intervals or intervals[0][0] != 0 or intervals[-1][1] != agg.n - 1:
@@ -351,7 +367,7 @@ def evaluate_partition(intervals, agg: AggregateSet, cfg: BinningConfig,
     tab = _tables(agg, cfg, pairs)
     if next(_violated_groups(intervals, tab), 0):
         return False, math.nan
-    return True, _objective(intervals, tab)
+    return True, _in_units(agg, _objective(intervals, tab))
 
 
 # --------------------------------------------------------------------------- #
@@ -504,11 +520,10 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
                       pairs: PValuePairs | None, trends, ok):
     """Bound on the best completion of every partial partition: an interval DP.
 
-    ``G[s, p, r, ph]`` is the best objective sum over ways to cover pre-bins
+    ``G[s, p, r, ph]`` is the greatest gain sum over ways to cover pre-bins
     s..n-1 with at most ``r`` bins, right after a bin that starts at pre-bin
-    ``p`` (``p`` is 0 when s is 0) and has phase ``ph``: the maximum for
-    divergence targets, the minimum for continuous ones, and -inf (+inf) when
-    no way exists.  Bit i of the phase turns from 0 to 1, never back, after
+    ``p`` (``p`` is 0 when s is 0) and has phase ``ph``, and -inf when no way
+    exists.  Bit i of the phase turns from 0 to 1, never back, after
     the change bin of the i-th free chain that ``_bound_chains`` keeps.  The
     DP enforces the bins allowed by ``ok``, ``max_bins``, and every check
     between two adjacent bins: p-value separation, by ANDing the negated mask
@@ -528,16 +543,11 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     None.
     """
     n = agg.n
-    minimize = agg.target.is_continuous
-    worst = _POS_INF if minimize else _NEG_INF
-    best_of = np.minimum if minimize else np.maximum
-
-    val = agg.objective_matrix().T                # val[s, e]: bin s..e
+    val = _gain_matrix(agg).T                     # val[s, e]: bin s..e
     if cfg.concentration == CONC_HHI and cfg.gamma:
         total = agg.R[n - 1, 0]
-        share = cfg.gamma * (agg.R.T * agg.R.T) / (total * total)
-        val = val + share if minimize else val - share
-    val = np.where(ok, val, worst)
+        val = val - cfg.gamma * (agg.R.T * agg.R.T) / (total * total)
+    val = np.where(ok, val, _NEG_INF)
 
     # adjacent-bin trend checks on each rate matrix with a chain: a bin
     # follows its predecessor in the first chain's direction while it starts
@@ -550,17 +560,17 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     masks = pairs.masks if pairs is not None else ()
 
     width = cfg.max_bins + 1 if cfg.max_bins is not None else 1
-    G = np.full((n + 1, n, width, phases), worst)
+    G = np.full((n + 1, n, width, phases), _NEG_INF)
     G[n] = 0.0
     for s in range(n - 1, -1, -1):
         tail = G[s + 1:, s]                       # after bin s..e, for every e
         if width == 1:
             w = val[s, s:, None, None] + tail
         else:
-            w = np.full((n - s, width, phases), worst)
+            w = np.full((n - s, width, phases), _NEG_INF)
             w[:, 1:] = val[s, s:, None, None] + tail[:, :-1]
         if s == 0 or not (chains or masks):
-            G[s] = best_of.reduce(w[..., :1], axis=0)   # the first bin: phase 0
+            G[s] = np.maximum.reduce(w[..., :1], axis=0)  # first bin: phase 0
             continue
         allowed = ~masks[s] if masks else True    # allowed[p, e - s]
         turns = []                                # per free chain: by its bit
@@ -575,12 +585,12 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
             a = allowed
             for i, ways in enumerate(turns):
                 a = a & ways[ph >> i & 1]
-            G[s, :s, :, ph] = best_of.reduce(
-                np.where(a[..., None], w[..., ph], worst), axis=1)
+            G[s, :s, :, ph] = np.maximum.reduce(
+                np.where(a[..., None], w[..., ph], _NEG_INF), axis=1)
         # after a bin of phase ph, a bin of any phase holding ph may follow
         for i in range(len(turns)):
             h = G[s, :s].reshape(s, width, -1, 2, 1 << i)
-            best_of(h[..., 0, :], h[..., 1, :], out=h[..., 0, :])
+            np.maximum(h[..., 0, :], h[..., 1, :], out=h[..., 0, :])
     return G
 
 
@@ -631,18 +641,17 @@ def _std_floor(Q, starts, sq, used: int, total: float, b_min: int, b_max):
 # the branch and bound
 # --------------------------------------------------------------------------- #
 
-def _rank_key(intervals, value: float, sign: float):
-    """The order that picks the answer among feasible partitions: better
-    objective (smaller ``sign * value``), then fewer bins, then the
-    lexicographically earliest start vector.  The exact search and the
-    oracle both rank by it."""
-    return sign * value, len(intervals), tuple(s for s, _ in intervals)
+def _rank_key(intervals, gain: float):
+    """The order that picks the answer among feasible partitions: greater
+    gain, then fewer bins, then the lexicographically earliest start vector,
+    smallest key first.  The exact search and the oracle both rank by it."""
+    return -gain, len(intervals), tuple(s for s, _ in intervals)
 
 
 def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
                       pairs: PValuePairs | None, trends, ok):
     """Best-first depth-first search on an explicit stack, so a table of any
-    depth solves.  Returns (intervals, objective) of the best feasible
+    depth solves.  Returns (intervals, gain) of the best feasible
     partition by ``_rank_key``, or None.  ``trends`` holds one concrete
     TrendSpec per rate matrix; ``ok`` is the ``_interval_ok`` matrix of bins
     that may appear at all.
@@ -652,8 +661,8 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     the p-value check against the last bin and each trend's ``_gate``.  The
     leaf among them, the bin that ends at the last pre-bin, is scored at
     once by ``_objective``.  Each other child gets the key its cut compares:
-    ``sign * (path sum + G)`` plus the floor of the concentration penalty,
-    with ``G`` from ``_completion_bound``, so a larger key is worse.  A
+    ``-(path sum + G)`` plus the floor of the concentration penalty, with
+    ``G`` from ``_completion_bound``, so a larger key is worse.  A
     child is dropped when it cannot reach ``min_bins`` or the key says no
     completion exists.  The others are pushed one at a time, best key first,
     each when the one before it is done, and the node ends at the first
@@ -671,7 +680,6 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     n = agg.n
     tab = _tables(agg, cfg, pairs)
     obj, records = tab.obj, tab.records
-    sign = 1.0 if tab.minimize else -1.0          # a larger sign * value is worse
 
     b_min = cfg.min_bins
     b_max = cfg.max_bins
@@ -700,7 +708,7 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
         init_states.append(gate[1])
 
     path, counts = [], []                         # the bins and their record counts
-    incumbent = None                              # (rank key, intervals, objective)
+    incumbent = None                              # (rank key, intervals, gain)
     limit = _POS_INF                              # keys from here on are cut
     stack = [(0, init_states, 0.0, None)]         # (start, states, path sum, children)
     while stack:
@@ -725,16 +733,16 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
                     if e == n - 1:
                         leaf = (*path, (s, e))
                         if len(leaf) >= b_min:
-                            value = _objective(leaf, tab)
-                            key = _rank_key(leaf, value, sign)
+                            gain = _objective(leaf, tab)
+                            key = _rank_key(leaf, gain)
                             if incumbent is None or key < incumbent[0]:
-                                incumbent = (key, leaf, value)
-                                limit = key[0] + 1e-9 * max(1.0, abs(value))
+                                incumbent = (key, leaf, gain)
+                                limit = key[0] + 1e-9 * max(1.0, abs(gain))
                     elif used + n - e >= b_min:     # bins enough left
                         ph = (sum(new_states[i][0] << b for b, i in free)
                               if free else 0)
                         v = v_sum + obj[e][s]
-                        ranked.append((sign * (v + bound[e + 1][ph]), e,
+                        ranked.append((-(v + bound[e + 1][ph]), e,
                                        new_states, v))
             if conc != CONC_OFF and ranked:      # add the penalty floors
                 cs = [records[e][s] for _, e, _, _ in ranked]
@@ -776,9 +784,7 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
     Presolve masks intervals for monotone trends on event rates (never on
     continuous means), then one branch and bound runs.  A returned partition
     is rechecked from scratch by ``evaluate_partition``, which must give the
-    same objective, bit for bit.  The change point of a single peak/valley
-    is its pin, or else the smallest pin the partition meets: the start of
-    its first change bin.
+    same objective, bit for bit.  The solution's objective is the gain.
     """
     trends = _resolved_trends(agg, cfg)
     forbidden = set()
@@ -790,22 +796,14 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
                             _interval_ok(agg, cfg, forbidden))
     if hit is None:
         return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=agg.n)
-    intervals, obj = hit
+    intervals, gain = hit
     feas, recheck = evaluate_partition(intervals, agg, cfg, pairs)
-    if not feas or recheck != obj:
+    if not feas or recheck != _in_units(agg, gain):
         raise AssertionError(
-            "solver returned a partition failing its own recheck: {} obj={} "
-            "recheck=({}, {})".format(intervals, obj, feas, recheck))
-    change_point = None
-    if len(trends) == 1 and trends[0].kind in (PEAK, VALLEY):
-        change_point = trends[0].change_point
-        if change_point is None:
-            rates = [agg.rate_matrices()[0][e, s] for s, e in intervals]
-            p = _change_bin(rates, trends[0].kind == PEAK, cfg.min_diff)
-            change_point = intervals[p][0]
-    return Solution(status=OPTIMAL, intervals=intervals, objective=obj,
-                    trend_used=cfg.trend, change_point=change_point,
-                    n_prebins=agg.n)
+            "solver returned a partition failing its own recheck: {} gain={} "
+            "recheck=({}, {})".format(intervals, gain, feas, recheck))
+    return Solution(status=OPTIMAL, intervals=intervals, objective=gain,
+                    trend_used=cfg.trend, n_prebins=agg.n)
 
 
 # --------------------------------------------------------------------------- #
@@ -816,19 +814,18 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
 AUTO_MARGIN = 0.10
 
 
-def _pick(solutions, minimize: bool):
-    """Best of a candidate list: objective, then fewer bins, then list order."""
-    sign = 1.0 if minimize else -1.0
+def _pick(solutions):
+    """Best of a candidate list: gain, then fewer bins, then list order."""
     return min((sol for sol in solutions if sol is not None and sol.is_feasible),
-               key=lambda sol: (sign * sol.objective, sol.n_bins), default=None)
+               key=lambda sol: (-sol.objective, sol.n_bins), default=None)
 
 
-def _auto_pick(solve_one, minimize: bool, n_prebins: int) -> Solution:
-    """The automatic-trend rule over a base solver.
+def _auto_pick(solve_one, n_prebins: int) -> Solution:
+    """The automatic-trend rule over a base solver that returns gains.
 
     Solves descending/ascending and peak/valley; the peak/valley winner is
     kept only when it improves on the monotone winner by at least
-    ``AUTO_MARGIN`` relative objective, mirroring "prefer the simpler shape
+    ``AUTO_MARGIN`` relative gain, mirroring "prefer the simpler shape
     unless the reversal buys a clearly better fit".  Ties inside each pair:
     fewer bins, then the listed order (descending before ascending, peak
     before valley).  With no feasible candidate the result is TIME_LIMIT
@@ -836,8 +833,8 @@ def _auto_pick(solve_one, minimize: bool, n_prebins: int) -> Solution:
     """
     sols = [solve_one(TrendSpec(kind))
             for kind in (DESCENDING, ASCENDING, PEAK, VALLEY)]
-    mono = _pick(sols[:2], minimize)
-    bent = _pick(sols[2:], minimize)
+    mono = _pick(sols[:2])
+    bent = _pick(sols[2:])
     if mono is None and bent is None:
         timed_out = any(sol.status == TIME_LIMIT for sol in sols)
         return Solution(status=TIME_LIMIT if timed_out else INFEASIBLE,
@@ -846,14 +843,11 @@ def _auto_pick(solve_one, minimize: bool, n_prebins: int) -> Solution:
         return mono
     if mono is None:
         return bent
-    if minimize:
-        gain = ((mono.objective - bent.objective) / abs(mono.objective)
-                if mono.objective != 0.0 else 0.0)
+    if mono.objective != 0.0:
+        lift = (bent.objective - mono.objective) / abs(mono.objective)
     else:
-        gain = ((bent.objective - mono.objective) / abs(mono.objective)
-                if mono.objective != 0.0
-                else (_POS_INF if bent.objective > 0.0 else 0.0))
-    return bent if gain >= AUTO_MARGIN else mono
+        lift = _POS_INF if bent.objective > 0.0 else 0.0
+    return bent if lift >= AUTO_MARGIN else mono
 
 
 def _class_view(agg: AggregateSet, c: int) -> AggregateSet:
@@ -863,14 +857,32 @@ def _class_view(agg: AggregateSet, c: int) -> AggregateSet:
                         V=agg.class_V[c], D=agg.class_D[c])
 
 
+def _finish(sol: Solution, agg: AggregateSet, min_diff: float) -> Solution:
+    """A search's answer in the objective's units, with the change point of
+    one peak/valley: its pin, or else the start of its first change bin."""
+    if not sol.is_feasible:
+        return sol
+    trend, intervals = sol.trend_used, sol.intervals
+    point = None
+    if not agg.target.is_multiclass and trend.kind in (PEAK, VALLEY):
+        point = trend.change_point
+        if point is None:
+            rates = [agg.rate_matrices()[0][e, s] for s, e in intervals]
+            p = _change_bin(rates, trend.kind == PEAK, min_diff)
+            point = intervals[p][0]
+    return replace(sol, objective=_in_units(agg, sol.objective),
+                   change_point=point)
+
+
 def _resolve(agg: AggregateSet, cfg: BinningConfig,
              pairs: PValuePairs | None, search) -> Solution:
-    """Run a solver's own ``search`` once every trend is concrete.
+    """Run a solver's own ``search`` once every trend is concrete, and
+    ``_finish`` its answer.
 
     ``search(agg, cfg, pairs)`` solves a config whose trends are all
-    concrete; the exact solver, the oracle and the local search each pass
-    theirs, so all three resolve identically.  A pinned change point must
-    lie inside the pre-bins.  A single auto trend is ``_auto_pick`` over
+    concrete, as a gain; the exact solver, the oracle and the local search
+    each pass theirs, so all three resolve and finish identically.  A pinned
+    change point must lie inside the pre-bins.  A single auto trend is ``_auto_pick`` over
     ``search``.  Each auto class of a multi-class target is resolved the
     same way on its own one-vs-rest view (same size and record constraints,
     no other classes), and the joint search then runs with the winners; when
@@ -890,16 +902,15 @@ def _resolve(agg: AggregateSet, cfg: BinningConfig,
         if tr.kind != AUTO:
             continue
         view = _class_view(agg, c) if multi else agg
-        won = _auto_pick(lambda t: search(view, with_trend(cfg, t), pairs),
-                         view.target.is_continuous, n)
+        won = _auto_pick(lambda t: search(view, with_trend(cfg, t), pairs), n)
         if not multi:
-            return won
+            return _finish(won, agg, cfg.min_diff)
         if not won.is_feasible:
             return Solution(status=won.status, trend_used=cfg.trend, n_prebins=n)
         trends[c] = won.trend_used
     if multi:
         cfg = with_trend(cfg, tuple(trends))
-    return search(agg, cfg, pairs)
+    return _finish(search(agg, cfg, pairs), agg, cfg.min_diff)
 
 
 def _search_count(agg: AggregateSet, cfg: BinningConfig) -> int:
@@ -965,19 +976,18 @@ def _enumerate(agg: AggregateSet, cfg: BinningConfig,
     once."""
     n = agg.n
     tab = _tables(agg, cfg, pairs)
-    sign = 1.0 if agg.target.is_continuous else -1.0
     best = None
     for intervals in _all_partitions(n):
         if next(_violated_groups(intervals, tab), 0):
             continue
-        obj = _objective(intervals, tab)
-        key = _rank_key(intervals, obj, sign)
+        gain = _objective(intervals, tab)
+        key = _rank_key(intervals, gain)
         if best is None or key < best[0]:
-            best = (key, obj, intervals)
+            best = (key, gain, intervals)
     if best is None:
         return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
-    _, obj, intervals = best
-    return Solution(status=OPTIMAL, intervals=intervals, objective=obj,
+    _, gain, intervals = best
+    return Solution(status=OPTIMAL, intervals=intervals, objective=gain,
                     trend_used=cfg.trend, n_prebins=n)
 
 

@@ -31,7 +31,10 @@ def _bench(*flags) -> dict:
     # the tiny exact corpus has no binary p-value operation at any seed,
     # so only cli-csv reaches the tracer's pair count
     (("--workload", "cli-csv", "--trace", "1"), "aggregate.pvalue_pairs.count"),
-    (("--workload", "exact-corpus"), None),
+    # the exact search rechecks each answer through binopt.solver, which
+    # is what the tracer counts
+    (("--workload", "exact-corpus", "--trace", "1"),
+     "solver.evaluate_partition.calls"),
     # the local search returns a partition, which the tracer sees rechecked
     (("--workload", "ls-wide", "--trace", "1"), "localsearch.evaluations"),
 ])

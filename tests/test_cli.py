@@ -307,6 +307,18 @@ class TestFitExitCodes:
         assert "--max-pvalue applies to binary targets only" in err
         assert out == "" and not model.exists()
 
+    def test_every_category_below_the_others_cutoff_is_2(self, tmp_path,
+                                                          capsys):
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+        model = tmp_path / "model.json"
+        code, out, err = run(capsys, [
+            "fit", "--data", golden, "--variable", "cat", "--target", "yb",
+            "--dtype", "categorical", "--others-cutoff", "0.999",
+            "--model", str(model)])
+        assert code == 2
+        assert "every category fell below the others cutoff" in err
+        assert "Traceback" not in err and out == "" and not model.exists()
+
     def test_time_budget_that_runs_out_is_2_and_named(self, capsys):
         golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
         code, out, err = run(capsys, [

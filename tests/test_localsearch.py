@@ -361,9 +361,10 @@ def _check_neighbours(agg, cfg, pairs, intervals, label):
         broken = sum(_violated_groups(y, tab))
         assert ok == (broken == 0), (label, y)
         if ok:
-            sign = -1.0 if agg.target.is_continuous else 1.0
-            assert key == (1, sign * ref_obj) and obj == ref_obj, (label, y)
-            assert repr(obj) == repr(ref_obj), (label, y)
+            # the search maximizes the gain: a deviation enters negated
+            gain = 0.0 - ref_obj if agg.target.is_continuous else ref_obj
+            assert key == (1, gain) and obj == gain, (label, y)
+            assert repr(obj) == repr(gain), (label, y)
             feasible += 1
         else:
             assert key == (0, -float(broken)) and math.isnan(obj), (label, y)

@@ -268,6 +268,17 @@ class TestSolve:
         assert sol.status == "optimal"
         assert sol.intervals == ((0, 1), (2, 2))
 
+    def test_zero_deviation_reads_positive_zero(self):
+        # the searches maximize the deviation negated; a zero deviation must
+        # come back as 0.0, not -0.0, or model bytes would change
+        agg = continuous_agg([2, 3, 4], [4.0, 9.0, 16.0])
+        cfg = BinningConfig(min_bins=1)
+        for solver in (solve, brute_force_oracle, ls_solve):
+            sol = solver(agg, cfg)
+            assert repr(sol.objective) == "0.0", solver.__name__
+            feasible, obj = evaluate_partition(sol.intervals, agg, cfg)
+            assert feasible and repr(obj) == "0.0", solver.__name__
+
     def test_min_bins_infeasible(self):
         agg = binary_agg([3, 1], [1, 3])
         sol = solve(agg, BinningConfig(min_bins=5, trend=TrendSpec("none")))
@@ -331,22 +342,25 @@ def _root_bound(agg, cfg, pairs, trends, forbidden=None):
     return float(G[0, 0, -1, 0])
 
 
+def _gain(agg, objective):
+    """An objective as the searches maximize it: a deviation negated."""
+    return -objective if agg.target.is_continuous else objective
+
+
 def _assert_root(root, agg, trends, ref):
-    """The root bound is the optimum of ``ref`` (or says no way exists) when
-    it follows the change bin of every free peak/valley, and a bound on it
-    when it relaxes some."""
-    minimize = agg.target.is_continuous
+    """The root bound is the optimal gain of ``ref`` (or -inf, no way
+    exists) when it follows the change bin of every free peak/valley, and
+    a bound on it when it relaxes some."""
     free = sum(tr.kind in ("peak", "valley") and tr.change_point is None
                for tr in trends)
     if free > _PHASE_BITS:
         if ref.is_feasible:
             slack = 1e-12 * max(1.0, abs(ref.objective))
-            assert (root <= ref.objective + slack if minimize
-                    else root >= ref.objective - slack)
+            assert root >= _gain(agg, ref.objective) - slack
     elif ref.is_feasible:
-        assert root == pytest.approx(ref.objective, rel=1e-12)
+        assert root == pytest.approx(_gain(agg, ref.objective), rel=1e-12)
     else:
-        assert root == (math.inf if minimize else -math.inf)
+        assert root == -math.inf
 
 
 def _assert_oracle(got, ref, what):
@@ -445,10 +459,7 @@ class TestCompletionBound:
             root = _root_bound(agg, cfg, pairs, trends)
             # HHI is folded in with another summation order: allow rounding
             slack = 1e-12 * max(1.0, abs(ref.objective))
-            if agg.target.is_continuous:
-                assert root <= ref.objective + slack, (family, i)
-            else:
-                assert root >= ref.objective - slack, (family, i)
+            assert root >= _gain(agg, ref.objective) - slack, (family, i)
 
     @pytest.mark.parametrize("concentration,gamma", [
         ("std", 0.002), ("hhi", 0.5), ("maxmin", 0.001)])
@@ -504,10 +515,9 @@ class TestCompletionBound:
             if not got.is_feasible:
                 continue
             ok = _interval_ok(agg, cfg)
-            sign = 1.0 if agg.target.is_continuous else -1.0
             G = _completion_bound(agg, cfg, pairs, _resolved_trends(agg, cfg),
                                   ok)
-            key = sign * float(G[0, 0, -1, 0])
+            key = -float(G[0, 0, -1, 0])
             if cfg.concentration == "std" and cfg.gamma:
                 Q = _least_squares(agg, ok, min(cfg.max_bins or agg.n, agg.n)
                                    + 1)
@@ -515,7 +525,7 @@ class TestCompletionBound:
                     Q, [0], [0.0], 0, agg.n_records, cfg.min_bins,
                     cfg.max_bins)[0])
             slack = 1e-12 * max(1.0, abs(got.objective))
-            assert key <= sign * got.objective + slack, (family, i)
+            assert key <= -_gain(agg, got.objective) + slack, (family, i)
 
     @pytest.mark.parametrize("concentration", ["off", "std", "hhi", "maxmin"])
     def test_tie_heavy_tables_follow_the_oracle(self, concentration):
@@ -704,6 +714,31 @@ class TestPeakValley:
         assert sol.status == "optimal"
         assert sol.n_bins == 3 and sol.change_point == 1
 
+    @pytest.mark.parametrize("trend", ["peak", "valley", "peak:4"])
+    def test_every_solver_reports_the_change_point(self, trend):
+        # one rule for all three: the pin, else the start of the first bin
+        # that splits the solver's own partition into its two chains
+        agg = random_binary_agg(np.random.default_rng(3), 9, high=50)
+        spec = TrendSpec.parse(trend)
+        cfg = BinningConfig(min_bins=1, trend=spec)
+        first, second = (("ascending", "descending") if spec.kind == "peak"
+                         else ("descending", "ascending"))
+        sols = [solve(agg, cfg), brute_force_oracle(agg, cfg),
+                ls_solve(agg, cfg)]
+        for sol in sols:
+            assert sol.is_feasible, trend
+            rates = [agg.D[e, s] for s, e in sol.intervals]
+            want = spec.change_point
+            if want is None:
+                want = next(sol.intervals[p][0] for p in range(len(rates))
+                            if check_trend(rates[:p + 1], TrendSpec(first))
+                            and check_trend(rates[p:], TrendSpec(second)))
+            assert sol.change_point == want, (trend, sol)
+        assert sols[0].intervals == sols[1].intervals
+        for sol in sols[1:]:
+            if sol.intervals == sols[0].intervals:
+                assert sol.change_point == sols[0].change_point, trend
+
 
 class TestAutoTrend:
     @staticmethod
@@ -765,12 +800,31 @@ class TestAutoTrend:
                             intervals=tuple((i, i) for i in range(m)),
                             n_prebins=m)
 
-        three, two, other_two = sol(1.0, 3), sol(1.0, 2), sol(1.0, 2)
-        for minimize in (False, True):
-            assert _pick([three, two, other_two], minimize) is two
-            assert _pick([None, Solution(status="infeasible")], minimize) is None
-        assert _pick([two, sol(2.0, 3)], False).objective == 2.0
-        assert _pick([two, sol(2.0, 3)], True) is two
+        # a divergence is its own gain, a deviation enters negated
+        for gain in (1.0, -1.0):
+            three, two, other_two = sol(gain, 3), sol(gain, 2), sol(gain, 2)
+            assert _pick([three, two, other_two]) is two
+            assert _pick([None, Solution(status="infeasible")]) is None
+        two = sol(1.0, 2)
+        assert _pick([two, sol(2.0, 3)]).objective == 2.0
+        two = sol(-1.0, 2)
+        assert _pick([two, sol(-2.0, 3)]) is two
+
+    def test_continuous_tie_picks_the_listed_order(self):
+        # means 3, 1, 3 in at most two bins: descending (3 | 1, 3) and
+        # ascending (3, 1 | 3) deviate by sqrt(2) each, a peak or valley
+        # does no better, so descending wins as listed first
+        agg = continuous_agg([1, 1, 1], [3.0, 1.0, 3.0])
+        cfg = BinningConfig(min_bins=1, max_bins=2, trend=TrendSpec("auto"))
+        asc = solve(agg, with_trend(cfg, TrendSpec("ascending")))
+        desc = solve(agg, with_trend(cfg, TrendSpec("descending")))
+        assert asc.objective == desc.objective == math.sqrt(2.0)
+        assert asc.n_bins == desc.n_bins == 2
+        for sol in (solve(agg, cfg), brute_force_oracle(agg, cfg),
+                    ls_solve(agg, cfg)):
+            assert sol.trend_used == TrendSpec("descending")
+            assert sol.intervals == ((0, 0), (1, 2))
+            assert sol.objective == math.sqrt(2.0)
 
     def test_prefers_monotone_within_margin(self):
         # descending fits perfectly; a peak can never beat it by 10%
