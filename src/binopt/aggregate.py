@@ -14,6 +14,10 @@ Matrices:
 - ``D``: event rate of each merge (binary); ``class_D`` per class.
 - ``U``: merged mean, ``L``: p-norm deviation of pre-bin means from the merged
   mean (continuous).
+
+The adjacent-bin two-proportion z statistic is written once, in ``_zstat``:
+it builds the solver's p-value masks (``pvalue_pairs``) and the quality
+report's p-values (``quality.adjacent_pvalues``).
 """
 
 from __future__ import annotations
@@ -174,14 +178,14 @@ def build_continuous(table: PrebinTable, norm_p: int = 2) -> AggregateSet:
     n = table.n
     R = _merge_counts(np.asarray(table.count, dtype=float))
     S = _merge_counts(np.asarray(table.total, dtype=float))
-    U = np.zeros((n, n))
+    U = np.divide(S, R, out=np.zeros((n, n)), where=np.tri(n, dtype=bool))
     L = np.zeros((n, n))
+    # two-pass deviations: the expanded sum-of-squares form cancels badly when
+    # the means inside a merge are nearly equal.  One merge at a time: np.dot
+    # adds the squares in an order of its own, neither left to right nor
+    # numpy's pairwise sum, so summing them any other way changes bits of L
     for i in range(n):
-        js = np.arange(i + 1)
-        U[i, js] = S[i, js] / R[i, js]
-        # two-pass deviations: the expanded sum-of-squares form cancels badly
-        # when the means inside a merge are nearly equal
-        for j in js:
+        for j in range(i + 1):
             d = mu[j: i + 1] - U[i, j]
             if norm_p == 2:
                 L[i, j] = math.sqrt(float(np.dot(d, d)))
@@ -245,17 +249,20 @@ class PValuePairs:
                          for j, k in np.argwhere(mask).tolist())
 
 
-def _pooled_zstat(e1: float, ne1: float, e2: float, ne2: float) -> float:
-    """Two-proportion pooled z statistic between adjacent merges."""
-    n1 = e1 + ne1
-    n2 = e2 + ne2
-    d1 = e1 / n1
-    d2 = e2 / n2
-    pbar = (e1 + e2) / (n1 + n2)
-    var = pbar * (1.0 - pbar) * (1.0 / n1 + 1.0 / n2)
-    if var <= 0.0:
-        return 0.0
-    return (d1 - d2) / math.sqrt(var)
+def _zstat(e1, ne1, e2, ne2):
+    """Two-proportion pooled z statistic of a bin of ``e1`` events and
+    ``ne1`` non-events against one of ``e2`` and ``ne2``; 0 where the pooled
+    variance is not positive.  Works the same on floats and, elementwise, on
+    numpy arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = e1 + ne1
+        n2 = e2 + ne2
+        d1 = e1 / n1
+        d2 = e2 / n2
+        pbar = (e1 + e2) / (n1 + n2)
+        var = pbar * (1.0 - pbar) * (1.0 / n1 + 1.0 / n2)
+        z = np.where(var <= 0.0, 0.0, (d1 - d2) / np.sqrt(var))
+    return z[()]        # a float for floats: [()] unwraps a 0-d array
 
 
 def pvalue_pairs(R_ne: TriMatrix, R_e: TriMatrix, alpha: float) -> PValuePairs:
@@ -272,17 +279,8 @@ def pvalue_pairs(R_ne: TriMatrix, R_e: TriMatrix, alpha: float) -> PValuePairs:
     n = R_e.shape[0]
     masks = [np.zeros((0, n), dtype=bool)]
     for l in range(1, n):
-        # every first bin j..l-1 against every second bin l..k at once, in
-        # _pooled_zstat's order of operations, so each z is the same float
-        e1, ne1 = R_e[l - 1, :l, None], R_ne[l - 1, :l, None]
-        e2, ne2 = R_e[l:, l], R_ne[l:, l]
-        n1 = e1 + ne1
-        n2 = e2 + ne2
-        d1 = e1 / n1
-        d2 = e2 / n2
-        pbar = (e1 + e2) / (n1 + n2)
-        var = pbar * (1.0 - pbar) * (1.0 / n1 + 1.0 / n2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(var <= 0.0, 0.0, (d1 - d2) / np.sqrt(var))
+        # every first bin j..l-1 against every second bin l..k at once
+        z = _zstat(R_e[l - 1, :l, None], R_ne[l - 1, :l, None],
+                   R_e[l:, l], R_ne[l:, l])
         masks.append(np.abs(z) < threshold)
     return PValuePairs(alpha=alpha, threshold=threshold, masks=tuple(masks))

@@ -258,6 +258,15 @@ def _pool_stats(ys, target_kind: TargetKind, ne_total: float,
     return _bin_stats(target_kind, len(ys), target, ne_total, e_total)
 
 
+def _assess(bins, divergence: str):
+    """Quality report of a binary binning's optimized bins."""
+    return quality_mod.assess(
+        [b.nonevent for b in bins], [b.event for b in bins],
+        sum(b.iv_contrib if divergence == DIV_IV else b.js_contrib
+            for b in bins),
+        divergence_kind=divergence)
+
+
 def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
          variable: str, dtype: str, *, solver_name: str = "exact",
          seed: int = 0, time_budget: float | None = None) -> BinningModel:
@@ -280,15 +289,14 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
             "no records left after routing special and missing values")
 
     others: tuple = ()
-    ys_others = yc[:0]
     if dtype == NUMERIC:
         splits = preprocess.prebin_numeric(xc, cfg.prebin_count,
                                            cfg.prebin_min_frac)
         table = preprocess.build_prebin_table(xc, yc, target_kind,
                                               splits=splits)
     else:
-        cats, others = preprocess.prebin_categorical(
-            xc, yc, cfg.cat_others_cutoff, target_kind)
+        cats, others = preprocess.prebin_categorical(xc, yc,
+                                                     cfg.cat_others_cutoff)
         pooled = set(others)
         labels, codes = preprocess.label_codes(xc)
         in_pool = np.array([str(v) in pooled for v in labels], dtype=bool)[codes]
@@ -333,11 +341,8 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     # many records sit outside the optimization.
     ne_total = e_total = 0.0
     if target_kind.is_binary:
-        out_events = int(np.sum(ys_special) + np.sum(ys_missing)
-                         + np.sum(ys_others))
-        out_count = len(ys_special) + len(ys_missing) + len(ys_others)
-        e_total = float(np.sum(table.event)) + out_events
-        ne_total = float(np.sum(table.nonevent)) + (out_count - out_events)
+        e_total = float(np.sum(target))
+        ne_total = len(target) - e_total
     binned = preprocess.merge_runs(table, [s for s, _ in sol.intervals])
     targets = (binned.event if target_kind.is_binary else binned.total
                if target_kind.is_continuous else binned.class_events.T).tolist()
@@ -350,14 +355,7 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     if others:
         others_stats = _pool_stats(ys_others, target_kind, ne_total, e_total)
 
-    q = None
-    if target_kind.is_binary:
-        total_div = sum(b.iv_contrib if cfg.divergence == DIV_IV
-                        else b.js_contrib for b in bins)
-        report = quality_mod.assess(
-            [b.nonevent for b in bins], [b.event for b in bins], total_div,
-            divergence_kind=cfg.divergence)
-        q = report.score
+    q = _assess(bins, cfg.divergence).score if target_kind.is_binary else None
 
     if isinstance(sol.trend_used, TrendSpec):
         trend_text = sol.trend_used.as_text()
@@ -548,11 +546,7 @@ def render_summary(model: BinningModel) -> str:
 
 def render_quality(model: BinningModel) -> str:
     """Quality block for a binary model: score, divergence + label, p-values."""
-    rep = quality_mod.assess(
-        [b.nonevent for b in model.bins], [b.event for b in model.bins],
-        sum(b.iv_contrib if model.config.divergence == DIV_IV else b.js_contrib
-            for b in model.bins),
-        divergence_kind=model.config.divergence)
+    rep = _assess(model.bins, model.config.divergence)
     lines = ["quality score: {:.6f}".format(rep.score),
              "divergence: {:.6f} ({})".format(rep.divergence, rep.label),
              "adjacent p-values: {}".format(

@@ -87,12 +87,9 @@ def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise DegenerateColumnError("no clean records to pre-bin")
-    distinct = np.unique(x)
-    if distinct.size <= 1:
+    if x.min() == x.max():
         raise DegenerateColumnError(
-            "column has a single distinct value {!r}".format(
-                distinct[0] if distinct.size else None)
-        )
+            "column has a single distinct value {!r}".format(x[0]))
     if prebin_count <= 1:
         return ()
 
@@ -105,8 +102,7 @@ def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05
     return tuple(splits[np.asarray(starts[1:], dtype=np.intp) - 1].tolist())
 
 
-def prebin_categorical(values, target, cutoff: float = 0.0,
-                       target_kind: TargetKind = TargetKind.binary()):
+def prebin_categorical(values, target, cutoff: float = 0.0):
     """Order categories for ordinal treatment; pool rare ones.
 
     Categories whose frequency share is strictly below ``cutoff`` go to the

@@ -7,7 +7,9 @@ are spread evenly across bins.  The score multiplies three [0, 1] factors:
 
 - a Rayleigh-shaped bump in the divergence, scaled so the band endpoints
   score equally and the peak (exactly 1) falls between them;
-- the product of (1 - p) over adjacent-bin two-proportion tests;
+- the product of (1 - p) over adjacent-bin two-proportion tests, whose z
+  statistic (``aggregate._zstat``) is the one the solver's p-value masks
+  read;
 - a normalized evenness term, 1 at uniform bin sizes and 0 when a single
   bin holds everything.
 """
@@ -17,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .aggregate import _pooled_zstat
+import numpy as np
+
+from .aggregate import _zstat
 
 # divergence band considered healthy for a predictive grouping
 BAND_LOW = 0.3
@@ -60,18 +64,19 @@ def iv_label(iv: float) -> str:
 
 
 def adjacent_pvalues(nonevents, events) -> tuple:
-    """Two-sided pooled two-proportion p-values for consecutive bin pairs."""
+    """Two-sided pooled two-proportion p-values for consecutive bin pairs,
+    from the z statistic that also builds the solver's p-value masks."""
     from scipy.special import ndtr      # here, so that importing binopt skips scipy
 
-    nonevents = [float(v) for v in nonevents]
-    events = [float(v) for v in events]
-    if len(nonevents) != len(events):
+    ne = np.asarray(nonevents, dtype=float)
+    e = np.asarray(events, dtype=float)
+    if ne.shape != e.shape:
         raise ValueError("nonevent and event lists differ in length")
-    out = []
-    for i in range(len(events) - 1):
-        z = _pooled_zstat(events[i], nonevents[i], events[i + 1], nonevents[i + 1])
-        out.append(float(2.0 * (1.0 - ndtr(abs(z)))))
-    return tuple(out)
+    empty = np.flatnonzero(ne + e == 0.0)
+    if empty.size:
+        raise ValueError("bin {} holds no records".format(int(empty[0])))
+    z = _zstat(e[:-1], ne[:-1], e[1:], ne[1:])
+    return tuple((2.0 * (1.0 - ndtr(np.abs(z)))).tolist())
 
 
 def quality_score(divergence: float, pvalues, sizes) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from binopt import (
     build_binary, build_continuous, build_multiclass, build_prebin_table,
     divergence_contrib, pvalue_pairs, woe,
 )
-from binopt.aggregate import _merge_counts, _pooled_zstat
+from binopt.aggregate import _merge_counts, _zstat
 from binopt.preprocess import PrebinTable
 
 
@@ -264,14 +265,15 @@ class TestPValuePairs:
 
 
 def _pvalue_pairs_loop(R_ne, R_e, threshold):
-    """Reference: one ``_pooled_zstat`` per (first bin, second bin) pair."""
+    """Reference: one scalar ``_zstat`` call per (first bin, second bin) pair."""
     n = R_e.shape[0]
     found = set()
     for i in range(n - 1):
         l = i + 1
         for j in range(i + 1):
             for k in range(l, n):
-                z = _pooled_zstat(R_e[i, j], R_ne[i, j], R_e[k, l], R_ne[k, l])
+                z = _zstat(float(R_e[i, j]), float(R_ne[i, j]),
+                           float(R_e[k, l]), float(R_ne[k, l]))
                 if abs(z) < threshold:
                     found.add((i, j, k, l))
     return frozenset(found)
@@ -302,6 +304,16 @@ def test_pvalue_pairs_match_a_loop_over_pairs(n):
         assert all(type(v) is int for quad in pp.pairs for v in quad)
         if n >= 4:
             assert {(0, 0, 1, 1), (n - 2, n - 2, n - 1, n - 1)} <= pp.pairs
+
+
+def test_pvalue_pairs_warn_of_nothing_on_zero_variance_cells():
+    # pre-bins 0-1 hold only non-events and 2-3 only events, so every merge
+    # inside either run has pooled rate 0 or 1
+    R_ne, R_e = _merge_counts([4, 3, 0, 0, 5]), _merge_counts([0, 0, 2, 6, 5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pp = pvalue_pairs(R_ne, R_e, 0.05)
+    assert pp.masks[1][0, 0]        # rates 0 and 0: z is 0, blocked
 
 
 @pytest.mark.parametrize("n", [1, 2, 13, 76, 200])

@@ -1,12 +1,21 @@
+import io
 import math
+import os
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from binopt import (
-    adjacent_pvalues, assess, c_star, iv_label, quality_score, rayleigh_factor,
+    BinningModel, adjacent_pvalues, assess, c_star, cli, iv_label,
+    quality_score, rayleigh_factor,
 )
+from binopt.aggregate import _zstat
 from binopt.quality import BAND_HIGH, BAND_LOW
+
+GOLDEN_CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                          "golden.csv")
 
 
 class TestCStar:
@@ -89,6 +98,57 @@ class TestAdjacentPvalues:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             adjacent_pvalues([5, 5], [5])
+
+    def test_a_bin_without_records_is_rejected(self):
+        with pytest.raises(ValueError, match="bin 1 holds no records"):
+            adjacent_pvalues([5, 0, 5], [5, 0, 5])
+
+    def test_matches_a_loop_of_scalar_z_statistics(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            m = int(rng.integers(1, 12))
+            ne = rng.integers(0, 30, m)
+            ev = rng.integers(0, 30, m)
+            # bins of a single class: pairs of zero pooled variance
+            ev[rng.random(m) < 0.3] = 0
+            ne[rng.random(m) < 0.3] = 0
+            ne[ne + ev == 0] = 1
+            want = tuple(
+                float(2.0 * (1.0 - ndtr(abs(_zstat(
+                    float(ev[i]), float(ne[i]),
+                    float(ev[i + 1]), float(ne[i + 1]))))))
+                for i in range(m - 1))
+            got = adjacent_pvalues(ne.tolist(), ev.tolist())
+            assert all(type(p) is float for p in got)
+            assert got == want
+
+
+def _golden_fit(tmp_path, variable, trend, *flags) -> BinningModel:
+    model = str(tmp_path / "model.json")
+    base = (["--special-values=-999"] if variable == "num" else
+            ["--others-cutoff", "0.02", "--special-values", "zz"])
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["fit", "--data", GOLDEN_CSV, "--model", model,
+                         "--variable", variable, "--target", "yb",
+                         "--trend", trend, *base, *flags])
+    assert code == 0
+    with open(model) as fh:
+        return BinningModel.from_json(fh.read())
+
+
+@pytest.mark.parametrize("trend", ["none", "ascending", "peak", "auto"])
+@pytest.mark.parametrize("variable", ["num", "cat"])
+def test_fitted_bins_pass_the_pvalue_constraint(tmp_path, variable, trend):
+    """The solver's masks and the report read one z statistic, so a fit
+    under ``--max-pvalue`` reports no adjacent p-value above it."""
+    def max_pvalue(model):
+        return max(adjacent_pvalues([b.nonevent for b in model.bins],
+                                    [b.event for b in model.bins]))
+
+    free = _golden_fit(tmp_path, variable, trend)
+    bound = _golden_fit(tmp_path, variable, trend, "--max-pvalue", "0.05")
+    assert max_pvalue(free) > 0.05
+    assert max_pvalue(bound) <= 0.05 + 1e-15
 
 
 class TestQualityScore:
