@@ -9,7 +9,7 @@ are spread evenly across bins.  The score multiplies three [0, 1] factors:
   score equally and the peak (exactly 1) falls between them;
 - the product of (1 - p) over adjacent-bin two-proportion tests, whose z
   statistic (``aggregate._zstat``) is the one the solver's p-value masks
-  read;
+  read, and whose normal tail is ``aggregate._ndtr``;
 - a normalized evenness term, 1 at uniform bin sizes and 0 when a single
   bin holds everything.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import _zstat
+from .aggregate import _ndtr, _zstat
 
 # divergence band considered healthy for a predictive grouping
 BAND_LOW = 0.3
@@ -66,8 +66,6 @@ def iv_label(iv: float) -> str:
 def adjacent_pvalues(nonevents, events) -> tuple:
     """Two-sided pooled two-proportion p-values for consecutive bin pairs,
     from the z statistic that also builds the solver's p-value masks."""
-    from scipy.special import ndtr      # here, so that importing binopt skips scipy
-
     ne = np.asarray(nonevents, dtype=float)
     e = np.asarray(events, dtype=float)
     if ne.shape != e.shape:
@@ -76,7 +74,7 @@ def adjacent_pvalues(nonevents, events) -> tuple:
     if empty.size:
         raise ValueError("bin {} holds no records".format(int(empty[0])))
     z = _zstat(e[:-1], ne[:-1], e[1:], ne[1:])
-    return tuple((2.0 * (1.0 - ndtr(np.abs(z)))).tolist())
+    return tuple(2.0 * (1.0 - _ndtr(abs(v))) for v in z.tolist())
 
 
 def quality_score(divergence: float, pvalues, sizes) -> float:

@@ -245,6 +245,15 @@ class TestPValuePairs:
         pp = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.05)
         assert pp.threshold == pytest.approx(1.959963985, abs=1e-8)
 
+    def test_threshold_edges(self):
+        agg = build_binary(binary_table([5, 5], [5, 5]))
+        every = pvalue_pairs(agg.R_ne, agg.R_e, alpha=1.0)
+        assert every.threshold == 0.0
+        assert not every.pairs          # |z| < 0 holds nowhere
+        none = pvalue_pairs(agg.R_ne, agg.R_e, alpha=1e-300)
+        assert none.threshold == math.inf
+        assert (0, 0, 1, 1) in none.pairs
+
     def test_pairs_are_adjacent_quadruples(self):
         rng = np.random.default_rng(13)
         ne = rng.integers(1, 40, size=6)

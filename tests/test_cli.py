@@ -307,6 +307,17 @@ class TestFitExitCodes:
         assert "--max-pvalue applies to binary targets only" in err
         assert out == "" and not model.exists()
 
+    def test_unreachable_max_pvalue_is_2(self, tmp_path, capsys):
+        # alpha = 1e-300 puts the z threshold at inf: no two bins separate
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+        model = tmp_path / "model.json"
+        code, out, err = run(capsys, [
+            "fit", "--data", golden, "--variable", "num", "--target", "yb",
+            "--max-pvalue", "1e-300", "--model", str(model)])
+        assert code == 2
+        assert "no binning of 'num' satisfies the constraints" in err
+        assert out == "" and not model.exists()
+
     def test_every_category_below_the_others_cutoff_is_2(self, tmp_path,
                                                           capsys):
         golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
@@ -820,3 +831,25 @@ def test_importing_the_cli_skips_scipy():
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "[]"
+
+
+def test_fit_and_report_run_without_scipy(tmp_path):
+    """With every scipy import made to fail, the golden p-value fit still
+    writes its committed model, and the quality report still prints."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    model = str(tmp_path / "m.json")
+    fit = ["fit", "--data", os.path.join(data, "golden.csv"),
+           "--variable", "num", "--target", "yb", "--special-values=-999",
+           "--trend", "auto", "--max-pvalue", "0.05", "--model", model]
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from binopt import cli; "
+            "sys.exit(cli.main({!r}) or cli.main(['report', '--model', {!r}]))"
+            .format(fit, model))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert "quality score:" in out.stdout
+    with open(model, "rb") as got, open(os.path.join(
+            data, "golden", "num-binary.model.json"), "rb") as want:
+        assert got.read() == want.read()
