@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import math
 import sys
 from dataclasses import replace
@@ -62,39 +61,39 @@ class _Parser(argparse.ArgumentParser):
 def _read_columns(path: str, names) -> list:
     """The named columns of an RFC-4180 CSV file, as lists of raw strings.
 
-    The file is parsed once for all columns.  Blank lines are skipped.
+    The file is read once, one record at a time, keeping only the named
+    fields.  Blank lines are skipped; a leading byte-order mark is dropped.
     """
-    # The rows are lists of strings and cannot form reference cycles, but
-    # each new list counts towards the cycle collector's thresholds: left
-    # on, its passes over the growing row list cost more than the parse.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError("{} is empty".format(path))
+            # an unknown name is reported after the pass: a read error wins
+            cols = [header.index(name) if name in header else 0
+                    for name in names]
+            pairs = [(col, []) for col in cols]
+            need = max(cols) + 1
+            short = {}          # column -> first CSV record that lacks it
+            for line, row in enumerate(reader, start=2):
+                if len(row) >= need:
+                    for col, column in pairs:
+                        column.append(row[col])
+                elif row:
+                    for col in cols:
+                        if col >= len(row):
+                            short.setdefault(col, line)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError("cannot read {}: {}".format(path, exc)) from exc
-    finally:
-        if collecting:
-            gc.enable()
-    if not rows:
-        raise InputError("{} is empty".format(path))
-    header = rows[0]
-    body = [row for row in rows[1:] if row]
-    columns = []
-    for name in names:
+    for name, col in zip(names, cols):
         if name not in header:
             raise InputError("no column {!r} in {} (found: {})"
                              .format(name, path, ", ".join(header)))
-        col = header.index(name)
-        try:
-            columns.append([row[col] for row in body])
-        except IndexError:
-            line = next(i for i, row in enumerate(rows[1:], start=2)
-                        if row and col >= len(row))
+        if col in short:
             raise InputError("{} line {}: missing field {!r}"
-                             .format(path, line, name)) from None
-    return columns
+                             .format(path, short[col], name))
+    return [column for _, column in pairs]
 
 
 def _floats(tokens):
@@ -559,13 +558,13 @@ def render_quality(model: BinningModel) -> str:
 # --------------------------------------------------------------------------- #
 
 def cmd_fit(args) -> int:
-    raw, raw_target = _read_columns(args.data, [args.variable, args.target])
-    values, dtype = _parse_variable(raw, args.dtype, args.missing_token)
     kind = {"binary": TargetKind.binary(),
             "continuous": TargetKind.continuous(),
             "multiclass": TargetKind(kind="multiclass", n_classes=0)}[
         args.target_kind]
-    target, kind = _parse_target(raw_target, kind, args.missing_token)
+    values, target = _read_columns(args.data, [args.variable, args.target])
+    values, dtype = _parse_variable(values, args.dtype, args.missing_token)
+    target, kind = _parse_target(target, kind, args.missing_token)
 
     cfg = BinningConfig(
         min_bins=args.min_bins, max_bins=args.max_bins,
@@ -603,8 +602,8 @@ def _load_model(path: str) -> BinningModel:
 def cmd_transform(args) -> int:
     model = _load_model(args.model)
     variable = args.variable or model.variable
-    [raw] = _read_columns(args.data, [variable])
-    values, _ = _parse_variable(raw, model.dtype, args.missing_token)
+    values, _ = _parse_variable(*_read_columns(args.data, [variable]),
+                                model.dtype, args.missing_token)
     mode = _resolve_mode(model, args.mode)
     rows = transform_values(model, values, "index")
     # each distinct output line is rendered once and looked up by row

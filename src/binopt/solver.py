@@ -545,8 +545,8 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     n = agg.n
     val = _gain_matrix(agg).T                     # val[s, e]: bin s..e
     if cfg.concentration == CONC_HHI and cfg.gamma:
-        total = agg.R[n - 1, 0]
-        val = val - cfg.gamma * (agg.R.T * agg.R.T) / (total * total)
+        share = agg.R.T / agg.R[n - 1, 0]         # gamma * R**2 could overflow
+        val = val - cfg.gamma * (share * share)
     val = np.where(ok, val, _NEG_INF)
 
     # adjacent-bin trend checks on each rate matrix with a chain: a bin

@@ -426,6 +426,14 @@ class TestFitExitCodes:
         assert code == 3
         assert "line 5: missing field 'y'" in err
 
+    def test_quoted_line_break_is_not_a_record(self, tmp_path, capsys):
+        path = tmp_path / "quoted.csv"
+        path.write_text('x,y\n"a\nb",0\n1,1\n2\n')
+        code, _, err = run(capsys, [
+            "fit", "--data", str(path), "--variable", "x", "--target", "y"])
+        assert code == 3
+        assert "line 4: missing field 'y'" in err
+
     def test_variable_field_is_checked_before_target_column(self, tmp_path,
                                                             capsys):
         path = tmp_path / "short.csv"
@@ -442,6 +450,138 @@ class TestFitExitCodes:
             "fit", "--data", str(path), "--variable", "x", "--target", "y"])
         assert code == 3
         assert "cannot read" in err
+
+
+# --------------------------------------------------------------------------- #
+# reading CSV columns
+# --------------------------------------------------------------------------- #
+
+def _whole_file_columns(path, names):
+    """The reference reader: every record in memory, then one column at a
+    time, checking each name for an unknown column, then a short record."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError("cannot read {}: {}".format(path, exc)) from exc
+    if not rows:
+        raise InputError("{} is empty".format(path))
+    header = rows[0]
+    body = [row for row in rows[1:] if row]
+    columns = []
+    for name in names:
+        if name not in header:
+            raise InputError("no column {!r} in {} (found: {})"
+                             .format(name, path, ", ".join(header)))
+        col = header.index(name)
+        try:
+            columns.append([row[col] for row in body])
+        except IndexError:
+            line = next(i for i, row in enumerate(rows[1:], start=2)
+                        if row and col >= len(row))
+            raise InputError("{} line {}: missing field {!r}"
+                             .format(path, line, name)) from None
+    return columns
+
+
+def _outcome(reader, path, names):
+    """The columns read, or the message of the InputError raised."""
+    try:
+        return reader(path, names)
+    except InputError as exc:
+        return str(exc)
+
+
+# fields that need quoting (commas, doubled quotes, line breaks) and not
+_FIELDS = ("1.5", "-2", "", "abc", "a,b", 'say "hi"', "two\nlines",
+           "cr\r\nlf", " pad ", "nan")
+
+
+def _random_csv(rng, path):
+    """A small CSV file of quoted fields, blank records and records with
+    too few or too many fields; returns its header."""
+    width = int(rng.integers(1, 5))
+    header = ["c{}".format(k) for k in range(width)]
+    if rng.random() < 0.2:
+        header[-1] = "c,{}".format(width - 1)     # a quoted column name
+    records = [header] if rng.random() < 0.95 else []
+    for _ in range(int(rng.integers(0, 9))):
+        u = rng.random()
+        if u < 0.15:
+            records.append([])                    # a blank line
+            continue
+        n = width
+        if u < 0.35:
+            n = int(rng.integers(1, width + 1))   # maybe short
+        elif u < 0.45:
+            n = width + int(rng.integers(1, 3))   # extra fields
+        records.append([_FIELDS[i] for i in rng.integers(0, len(_FIELDS), n)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if rng.random() < 0.1:
+            fh.write("\n")                        # a blank first line
+        csv.writer(fh, lineterminator=str(rng.choice(["\n", "\r\n"]))) \
+            .writerows(records)
+    return header
+
+
+def test_reader_matches_the_whole_file_reference(tmp_path):
+    rng = np.random.default_rng(22)
+    seen = set()
+    for i in range(600):
+        path = str(tmp_path / "f{}.csv".format(i))
+        header = _random_csv(rng, path)
+        pool = [*header, "zz"]                    # "zz" is never a column
+        names = [str(pool[k]) for k in
+                 rng.integers(0, len(pool), int(rng.integers(1, 4)))]
+        got = _outcome(cli._read_columns, path, names)
+        assert got == _outcome(_whole_file_columns, path, names), (i, names)
+        if isinstance(got, list):
+            seen.add("columns")
+        else:
+            seen.add(next(kind for kind in ("missing field", "no column",
+                                            "is empty") if kind in got))
+    assert seen == {"columns", "missing field", "no column", "is empty"}
+
+
+@pytest.mark.parametrize("data, names", [
+    (b"", ["x"]),                                 # empty
+    (b"x,y\n", ["x", "y"]),                       # header only
+    (b"x,y\n1,2\n\n3,4\n", ["y", "y"]),           # the same name twice
+    (b"\nx,y\n1,2\n", ["x"]),                     # blank first line
+    (b"x,y\n1\n2,3\n4\n", ["x", "y", "x"]),       # short records
+    (b"x,y\n1\n", ["z", "y"]),                    # unknown before short
+    (b"x,y\n1\n", ["y", "z"]),                    # short before unknown
+    (b"x,y,z\n1,2,3,4\n5,6,7\n", ["z", "x"]),     # extra fields
+    (b"x,y\n" + b"1,0\n" * 5000 + b"\xe9,1\n", ["x", "y"]),  # not UTF-8
+])
+def test_reader_edge_cases_match_the_reference(tmp_path, data, names):
+    path = str(tmp_path / "edge.csv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert _outcome(cli._read_columns, path, names) == \
+        _outcome(_whole_file_columns, path, names)
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    """Fitting and transforming a copy with a UTF-8 byte-order mark (as
+    spreadsheet programs save CSV) writes the bytes the original does."""
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+    with open(golden, "rb") as fh:
+        data = fh.read()
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + data)
+    written = []
+    for source, tag in ((golden, "plain"), (str(bom), "bom")):
+        model, output = tmp_path / (tag + ".json"), tmp_path / (tag + ".txt")
+        fit = run(capsys, ["fit", "--data", source, "--variable", "num",
+                           "--target", "yb", "--special-values=-999",
+                           "--model", str(model)])
+        transform = run(capsys, ["transform", "--data", source, "--model",
+                                 str(model), "--output", str(output)])
+        assert fit[0] == transform[0] == 0, tag
+        written.append((fit, transform, model.read_bytes(),
+                        output.read_bytes()))
+    assert written[0] == written[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -823,8 +963,8 @@ class TestReport:
 
 
 def test_importing_the_cli_skips_scipy():
-    """scipy costs most of the import time, and only fit needs it (the
-    normal quantile and distribution function), so it is imported there."""
+    """No command imports scipy: it would cost most of the import time, and
+    binopt computes the normal quantile and tail itself."""
     code = ("import sys, binopt.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

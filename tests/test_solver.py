@@ -484,6 +484,16 @@ class TestCompletionBound:
             assert got.objective == ref.objective, family
             assert got.intervals == ref.intervals, family
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e300, 1e303, 1e308])
+    def test_huge_hhi_weight_follows_the_oracle(self, gamma):
+        # any finite gamma is valid, and gamma * R**2 passes the float range
+        # near 1.8e308 while gamma * share**2 never exceeds gamma
+        for seed in range(3, 8):
+            agg = random_binary_agg(np.random.default_rng(seed), 10, high=500)
+            cfg = BinningConfig(min_bins=1, concentration="hhi", gamma=gamma)
+            _assert_oracle(solve(agg, cfg), brute_force_oracle(agg, cfg), seed)
+
     def test_exact_ties_are_never_pruned(self):
         # equal pre-bin means: every partition deviates by exactly 0, so the
         # first leaf (all singletons) ties every other one and only the
