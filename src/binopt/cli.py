@@ -10,6 +10,9 @@ Three subcommands:
   means, or bin indices.
 - ``report``: re-print the binning table of a stored model.
 
+Fit and transform route records to table rows with ``preprocess.table_rows``;
+``_pool_rows`` lists the rows after the bins once, for tables and outputs.
+
 Exit codes: 0 success, 2 no feasible binning for the data and constraints
 (or, with ``--solver ls``, none found before the time budget ran out), 3 bad
 input (unreadable files, unknown columns, malformed values or flags).
@@ -73,17 +76,20 @@ def _read_columns(path: str, names) -> list:
             # an unknown name is reported after the pass: a read error wins
             cols = [header.index(name) if name in header else 0
                     for name in names]
-            pairs = [(col, []) for col in cols]
+            columns = [[] for _ in cols]
+            appends = list(zip(cols, [column.append for column in columns]))
             need = max(cols) + 1
             short = {}          # column -> first CSV record that lacks it
-            for line, row in enumerate(reader, start=2):
+            skipped = 0         # blank or short records so far
+            for row in reader:
                 if len(row) >= need:
-                    for col, column in pairs:
-                        column.append(row[col])
-                elif row:
-                    for col in cols:
-                        if col >= len(row):
-                            short.setdefault(col, line)
+                    for col, append in appends:
+                        append(row[col])
+                    continue
+                for col in cols:            # the header is line 1
+                    if row and col >= len(row):
+                        short.setdefault(col, 2 + len(columns[0]) + skipped)
+                skipped += 1
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError("cannot read {}: {}".format(path, exc)) from exc
     for name, col in zip(names, cols):
@@ -93,7 +99,7 @@ def _read_columns(path: str, names) -> list:
         if col in short:
             raise InputError("{} line {}: missing field {!r}"
                              .format(path, short[col], name))
-    return [column for _, column in pairs]
+    return columns
 
 
 def _floats(tokens):
@@ -296,13 +302,14 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     else:
         cats, others = preprocess.prebin_categorical(xc, yc,
                                                      cfg.cat_others_cutoff)
-        pooled = set(others)
-        labels, codes = preprocess.label_codes(xc)
-        in_pool = np.array([str(v) in pooled for v in labels], dtype=bool)[codes]
-        ys_others = yc[in_pool]
-        table = preprocess.build_prebin_table(
-            xc[~in_pool], yc[~in_pool], target_kind,
-            groups=tuple((c,) for c in cats))
+        groups = tuple((c,) for c in cats)
+        if others:
+            in_pool = preprocess.table_rows(xc, groups=groups,
+                                            others=True) == len(groups)
+            ys_others = yc[in_pool]
+            xc, yc = xc[~in_pool], yc[~in_pool]
+        table = preprocess.build_prebin_table(xc, yc, target_kind,
+                                              groups=groups)
 
     if target_kind.is_binary:
         table = preprocess.refine_prebins(table)
@@ -350,9 +357,8 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
 
     special = _pool_stats(ys_special, target_kind, ne_total, e_total)
     missing = _pool_stats(ys_missing, target_kind, ne_total, e_total)
-    others_stats = None
-    if others:
-        others_stats = _pool_stats(ys_others, target_kind, ne_total, e_total)
+    others_stats = _pool_stats(ys_others, target_kind, ne_total, e_total) \
+        if others else None
 
     q = _assess(bins, cfg.divergence).score if target_kind.is_binary else None
 
@@ -381,22 +387,24 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
 # transform
 # --------------------------------------------------------------------------- #
 
-def _row_labels(model: BinningModel) -> list:
-    """Table row labels: optimized bins, then Others / Special / Missing."""
-    labels = []
-    if model.dtype == NUMERIC:
-        edges = [float("-inf"), *model.splits, float("inf")]
-        for i in range(len(edges) - 1):
-            lo = "(-inf" if math.isinf(edges[i]) else "[{:g}".format(edges[i])
-            hi = "inf)" if math.isinf(edges[i + 1]) else "{:g})".format(edges[i + 1])
-            labels.append("{}, {}".format(lo, hi))
-    else:
-        labels.extend("[{}]".format(", ".join(g)) for g in model.groups)
-    if model.others:
-        labels.append("Others")
-    labels.append("Special")
-    labels.append("Missing")
-    return labels
+def _bin_labels(model: BinningModel) -> list:
+    """The optimized bins' row labels, left to right."""
+    if model.dtype != NUMERIC:
+        return ["[{}]".format(", ".join(g)) for g in model.groups]
+    edges = [float("-inf"), *model.splits, float("inf")]
+    return ["{}, {}".format("(-inf" if math.isinf(lo) else "[{:g}".format(lo),
+                            "inf)" if math.isinf(hi) else "{:g})".format(hi))
+            for lo, hi in zip(edges, edges[1:])]
+
+
+def _pool_rows(model: BinningModel) -> list:
+    """(label, stats, transform value) of each table row after the bins, in
+    the order ``preprocess.table_rows`` numbers them: Others when the model
+    pools categories, then Special, then Missing."""
+    others = [("Others", model.others_stats, model.others_value)] \
+        if model.others else []
+    return [*others, ("Special", model.special, model.special_value),
+            ("Missing", model.missing, model.missing_value)]
 
 
 def _resolve_mode(model: BinningModel, mode: str) -> str:
@@ -412,15 +420,10 @@ def _resolve_mode(model: BinningModel, mode: str) -> str:
     return mode
 
 
-def _n_bins(model: BinningModel) -> int:
-    return len(model.splits) + 1 if model.dtype == NUMERIC else len(model.groups)
-
-
 def _row_outputs(model: BinningModel, mode: str) -> list:
-    """The transform output of each table row, in ``_row_labels`` order."""
-    m = _n_bins(model)
-    pools = [model.others_value] if model.others else []
-    pools += [model.special_value, model.missing_value]
+    """The transform output of each table row: the bins', then the pools'."""
+    m = len(_bin_labels(model))
+    pools = [value for _, _, value in _pool_rows(model)]
     if mode == "index":
         return list(range(m + len(pools)))
     if len(model.transform_values) != m:
@@ -429,52 +432,16 @@ def _row_outputs(model: BinningModel, mode: str) -> list:
     return [*model.transform_values, *pools]
 
 
-def _table_rows(model: BinningModel, values) -> np.ndarray:
-    """Each value's row in the binning table: optimized bins first, then
-    Others (categorical models with a pool), then Special, then Missing."""
-    m = _n_bins(model)
-    row_others = m
-    row_special = m + (1 if model.others else 0)
-    row_missing = row_special + 1
-    specials = model.config.special_values
-    if model.dtype == NUMERIC:
-        x = np.asarray(values, dtype=float)
-        rows = np.searchsorted(np.asarray(model.splits, dtype=float), x,
-                               side="right")
-        rows[np.isin(x, np.asarray(specials, dtype=float))] = row_special
-        rows[np.isnan(x)] = row_missing
-        return rows
-    group_of = {}
-    for k, group in enumerate(model.groups):
-        for label in group:
-            group_of.setdefault(label, k)
-    labels, codes = preprocess.label_codes(values)
-    label_rows = []
-    for v in labels:                  # in order of first appearance
-        label = str(v)
-        if v is None or v != v:       # None or NaN, as in split_missing_special
-            label_rows.append(row_missing)
-        elif label in specials:
-            label_rows.append(row_special)
-        elif label in group_of:
-            label_rows.append(group_of[label])
-        elif model.others:
-            # unseen categories are rare by definition: route to the pool
-            label_rows.append(row_others)
-        else:
-            raise InputError("unknown category {!r} and the model has no "
-                             "others pool".format(label))
-    return np.array(label_rows, dtype=np.intp)[codes]
-
-
 def transform_values(model: BinningModel, values, mode: str = "auto"):
-    """Map raw values through the fitted binning, as one array.
-
-    Index mode numbers the table rows: optimized bins first, then Others
-    (categorical models with a pool), then Special, then Missing.
-    """
+    """Map raw values through the fitted binning, as one array; index mode
+    numbers the table rows as ``preprocess.table_rows`` does."""
     outputs = _row_outputs(model, _resolve_mode(model, mode))
-    return np.take(np.asarray(outputs), _table_rows(model, values))
+    numeric = model.dtype == NUMERIC
+    rows = preprocess.table_rows(
+        values, model.config.special_values,
+        splits=model.splits if numeric else None,
+        groups=None if numeric else model.groups, others=bool(model.others))
+    return np.take(np.asarray(outputs), rows)
 
 
 def transform_value(model: BinningModel, v, mode: str):
@@ -501,10 +468,8 @@ def render_table(model: BinningModel) -> str:
 
     A model without per-bin stats (``bins`` empty) gets only the pool rows.
     """
-    labels = _row_labels(model)
-    pools = [model.others_stats] if model.others else []
-    pools += [model.special, model.missing]
-    labeled = [*zip(labels, model.bins), *zip(labels[-len(pools):], pools)]
+    labeled = [*zip(_bin_labels(model), model.bins),
+               *((label, stats) for label, stats, _ in _pool_rows(model))]
     total = sum(b.count for _, b in labeled)
 
     def pct(c):

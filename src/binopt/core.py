@@ -518,7 +518,8 @@ class BinningModel:
         transform values describe the same bins.
 
         ``bins`` may be empty: a model built by hand can carry no per-bin
-        statistics.  Each bin must hold a record, and a binary bin's
+        statistics.  A categorical model's group labels and special values
+        must be strings.  Each bin must hold a record, and a binary bin's
         non-events and events must add up to its records.  Multi-class
         models have no transform values.
         """
@@ -529,8 +530,8 @@ class BinningModel:
                                  "strictly ascending")
         elif self.dtype == "categorical":
             what, parts, n = "groups", self.groups, len(self.groups)
-            label = next((lab for g in parts for lab in g
-                          if not isinstance(lab, str)), None)
+            label = next((lab for g in (*parts, self.config.special_values)
+                          for lab in g if not isinstance(lab, str)), None)
             if label is not None:
                 raise InputError("malformed model file: category {!r} is not "
                                  "a string".format(label))

@@ -1,9 +1,11 @@
-"""Column preprocessing: missing/special routing, pre-binning, refinement.
+"""Column preprocessing: record routing, pre-binning, refinement.
 
-The optimizer never sees raw records.  A column is first split into clean /
-special / missing streams; the clean stream is discretized into a modest number
-of ordered "pre-bins" (equal-frequency for numeric columns, one per category
-for categorical ones), and per-pre-bin counts are tabulated.  The solver then
+The optimizer never sees raw records.  ``table_rows`` routes each one to its
+row of the binning table (the bins, then Others, Special, Missing) for the
+fit's clean / special / missing streams, Others pool and pre-bin counts, and
+for transform.  The clean stream is discretized into a modest number of
+ordered "pre-bins" (equal-frequency for numeric columns, one per category for
+categorical ones), and per-pre-bin counts are tabulated.  The solver then
 merges contiguous runs of pre-bins.
 
 Every merge of adjacent pre-bins is one fold, ``merge_runs``.  The pre-bin
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    TargetKind, DegenerateColumnError, InfeasibleError,
+    TargetKind, DegenerateColumnError, InfeasibleError, InputError,
 )
 
 
@@ -46,17 +48,35 @@ def label_codes(values):
     return labels, codes
 
 
-def split_missing_special(values, target, special_values=()):
-    """Route records into clean / special / missing streams.
+def table_rows(values, special_values=(), *, splits=None, groups=None,
+               others: bool = False) -> np.ndarray:
+    """Each record's row in the binning table: the bins, then Others (when
+    ``others``), then Special, then Missing.
 
-    ``values`` may be numeric or object (categorical); ``target`` is numeric.
-    Returns ((x_clean, y_clean), (x_special, y_special), (x_missing, y_missing))
-    as arrays, with positional pairing preserved.  A record is missing when
-    its value is None or NaN; special when it equals a member of
-    ``special_values``.
+    None and NaN are missing; any other record equal (``==``) to a special
+    value is special, so ``0`` and ``-0`` are one value and the label ``3`` is
+    not ``"3"``.  A numeric column passes ascending ``splits`` (a value equal
+    to a split goes right); a categorical one passes ``groups`` of labels,
+    matched as strings, and a label in none goes to Others or, with no Others
+    row, raises InputError.  With neither, the column keeps its dtype and is
+    one bin: rows 0, 1 and 2 are clean, special and missing.
     """
-    x = _column(values)
-    y = np.asarray(target)
+    if groups is not None:
+        labels, codes = label_codes(values)         # route each label once
+        x = np.fromiter(labels, dtype=object, count=len(labels))
+        n = len(groups)
+        # the first group that lists a label wins; -1 marks a label in none
+        bin_of = {str(lab): k for k in reversed(range(n)) for lab in groups[k]}
+        rows = np.array([bin_of.get(str(v), n if others else -1)
+                         for v in labels], dtype=np.intp)
+    elif splits is None:
+        x = _column(values)
+        n, rows = 1, np.zeros(x.size, dtype=np.intp)
+    else:
+        x = np.asarray(values, dtype=float)
+        n = len(splits) + 1
+        rows = np.searchsorted(np.asarray(splits, dtype=float), x,
+                               side="right")
     if x.dtype == object:
         missing = np.equal(x, None) | np.not_equal(x, x)   # None or NaN
         special = np.zeros(x.size, dtype=bool)
@@ -65,10 +85,27 @@ def split_missing_special(values, target, special_values=()):
     else:
         missing = np.isnan(x)
         special = np.isin(x, np.asarray(special_values, dtype=float))
-    special &= ~missing
-    clean = ~(missing | special)
-    return (x[clean], y[clean]), (x[special], y[special]), \
-        (x[missing], y[missing])
+    rows[special] = n + others
+    rows[missing] = n + others + 1          # missing beats special
+    if groups is None:
+        return rows
+    if rows.min(initial=0) < 0:
+        raise InputError("unknown category {!r} and the model has no others "
+                         "pool".format(str(labels[rows.argmin()])))
+    return rows[codes]
+
+
+def split_missing_special(values, target, special_values=()):
+    """Route records into clean / special / missing streams, the rows of a
+    one-bin table (``table_rows``).  ``values`` may be numeric or object
+    (categorical); ``target`` is numeric.  Returns ((x_clean, y_clean),
+    (x_special, y_special), (x_missing, y_missing)) as arrays, with
+    positional pairing preserved.
+    """
+    x, y = _column(values), np.asarray(target)
+    rows = table_rows(x, special_values)
+    streams = [rows == k for k in range(3)]     # clean, special, missing
+    return tuple((x[r], y[r]) for r in streams)
 
 
 # --------------------------------------------------------------------------- #
@@ -96,7 +133,7 @@ def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05
     splits = np.unique(
         np.quantile(x, np.linspace(0.0, 1.0, prebin_count + 1)[1:-1]))
     min_count = max(1, math.ceil(prebin_min_frac * x.size))
-    counts = np.bincount(np.searchsorted(splits, x, side="right"),
+    counts = np.bincount(table_rows(x, splits=splits),
                          minlength=splits.size + 1)
     starts = _count_runs(counts, min_count)
     return tuple(splits[np.asarray(starts[1:], dtype=np.intp) - 1].tolist())
@@ -181,21 +218,17 @@ def build_prebin_table(values, target, target_kind: TargetKind, *,
     Numeric path: pass ``splits`` (possibly empty: one pre-bin holds all
     records); any split with no records on its left is dropped so every
     pre-bin is nonempty.  Categorical path: pass ``groups`` (ordered tuples of
-    labels); every value must belong to one group.
+    labels); a value in no group raises InputError.  Both route through
+    ``table_rows``.
     """
     y = np.asarray(target, dtype=float)
     if groups is not None:
-        pos = {}
-        for g, labels in enumerate(groups):
-            for lab in labels:
-                pos[str(lab)] = g
-        distinct, codes = label_codes(values)
-        idx = np.array([pos[str(v)] for v in distinct], dtype=np.intp)[codes]
         n, splits, groups = len(groups), (), tuple(tuple(g) for g in groups)
+        idx = table_rows(values, groups=groups)
     else:
         s = np.sort(np.asarray(() if splits is None else splits, dtype=float))
-        idx = np.searchsorted(s, np.asarray(values, dtype=float), side="right")
         n, splits, groups = s.size + 1, tuple(s.tolist()), ()
+        idx = table_rows(values, splits=s)
 
     count = np.bincount(idx, minlength=n).astype(np.int64)
 

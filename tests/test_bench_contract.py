@@ -49,3 +49,8 @@ def test_bench_runs_clean_at_tiny_scale(flags, counted):
         # ``quality_mod.assess``, which the tracer wraps: an import by name
         # would hide the calls and zero this layer
         assert result["metrics"]["quality.assess_s"]["value"] > 0
+        # the fits route records and count pre-bins through the traced
+        # ``preprocess`` names; a call that bypassed them would zero these
+        for name in ("preprocess.records.clean", "preprocess.records.special",
+                     "preprocess.records.missing", "preprocess.prebins"):
+            assert result["metrics"][name]["value"] > 0, name

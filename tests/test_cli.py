@@ -727,7 +727,7 @@ def _reference_transform_value(model, v, mode):
             return row_special if mode == "index" else model.special_value
         k = sum(1 for s in model.splits if s <= v)
         return k if mode == "index" else model.transform_values[k]
-    if str(v) in model.config.special_values:
+    if v in model.config.special_values:
         return row_special if mode == "index" else model.special_value
     for k, group in enumerate(model.groups):
         if str(v) in group:
@@ -893,6 +893,82 @@ class TestTransformCommand:
             assert code == 3
             assert message in err and "error: malformed model file" in err
             assert "Traceback" not in err and out == ""
+
+    def test_non_string_categorical_special_value_is_3(self, categorical_csv,
+                                                        tmp_path, capsys):
+        model_path = str(tmp_path / "cat.json")
+        code, _, _ = run(capsys, [
+            "fit", "--data", categorical_csv, "--variable", "housing",
+            "--target", "default", "--model", model_path])
+        assert code == 0
+        self._check_rejected(
+            model_path, categorical_csv,
+            lambda d: d["config"].__setitem__("special_values", [[1, 2]]),
+            "category [1, 2] is not a string", capsys)
+
+
+GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+
+
+@pytest.mark.parametrize("fit_flags, missing_token", [
+    (["--variable", "num", "--target", "yb", "--special-values=-999"], ""),
+    (["--variable", "num", "--target", "yc", "--target-kind", "continuous",
+      "--special-values=-999", "--trend", "ascending"], ""),
+    (["--variable", "num", "--target", "ym", "--target-kind", "multiclass",
+      "--special-values=-999"], ""),
+    (["--variable", "cat", "--target", "yb", "--others-cutoff", "0.02",
+      "--special-values", "boat"], ""),
+    (["--variable", "cat", "--target", "yc", "--target-kind", "continuous",
+      "--others-cutoff", "0.03", "--special-values", "family"], "rent"),
+    (["--variable", "cat", "--target", "ym", "--target-kind", "multiclass",
+      "--others-cutoff", "0.02", "--special-values", "coop"], "rent"),
+])
+def test_transform_of_the_training_data_counts_the_fitted_rows(
+        tmp_path, capsys, fit_flags, missing_token):
+    """``transform --mode index`` over the training CSV sends each record to
+    the table row whose count the fit reported: every bin, Others, Special
+    and Missing."""
+    model_path, out_path = str(tmp_path / "m.json"), str(tmp_path / "t.txt")
+    token = ["--missing-token", missing_token]
+    code, _, _ = run(capsys, ["fit", "--data", GOLDEN_CSV, *fit_flags,
+                              *token, "--model", model_path])
+    assert code == 0
+    code, _, _ = run(capsys, ["transform", "--data", GOLDEN_CSV, "--model",
+                              model_path, "--mode", "index", *token,
+                              "--output", out_path])
+    assert code == 0
+    model = BinningModel.from_json(open(model_path).read())
+    pools = [model.others_stats] if model.others else []
+    counts = [b.count for b in (*model.bins, *pools, model.special,
+                                model.missing)]
+    with open(out_path) as fh:
+        rows = [int(line) for line in fh]
+    assert np.bincount(rows, minlength=len(counts)).tolist() == counts
+    assert model.special.count > 0 and model.missing.count > 0
+    assert bool(pools) == ("--others-cutoff" in fit_flags)
+
+
+def test_fit_and_transform_route_non_string_labels_alike():
+    """Through the library a categorical special value matches a label that
+    equals it (``==``): the special ``"3"`` takes the label ``"3"`` but not
+    the label ``3``, which the fit and the transform both bin as the
+    category ``"3"``."""
+    rng = np.random.default_rng(8)
+    labels = [3, "3", "a", 4.0, "b", None]
+    rate = {3: 0.2, "3": 0.5, "a": 0.4, 4.0: 0.6, "b": 0.8, None: 0.5}
+    values = np.array([labels[k] for k in rng.integers(0, 6, 600)],
+                      dtype=object)
+    target = np.array([int(rng.random() < rate[v]) for v in values])
+    model = cli._fit(values, target, TargetKind.binary(),
+                     BinningConfig(special_values=("3",), min_bins=1),
+                     "x", "categorical")
+    assert sorted(lab for g in model.groups for lab in g) == \
+        ["3", "4.0", "a", "b"]
+    counts = [b.count for b in (*model.bins, model.special, model.missing)]
+    rows = cli.transform_values(model, values, "index")
+    assert np.bincount(rows, minlength=len(counts)).tolist() == counts
+    assert model.special.count == sum(1 for v in values if v == "3")
+    assert model.missing.count == sum(1 for v in values if v is None)
 
 
 # --------------------------------------------------------------------------- #
