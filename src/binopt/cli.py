@@ -10,7 +10,12 @@ Three subcommands:
   means, or bin indices.
 - ``report``: re-print the binning table of a stored model.
 
-Fit and transform route records to table rows with ``preprocess.table_rows``;
+The CSV file is read into memory once and only the requested columns are
+extracted, as arrays of byte tokens (``_read_columns``): numpy locates every
+comma and line feed, and a file that needs RFC-4180 quoting (or holds a lone
+CR or a NUL byte) goes through ``csv.reader`` with the same results.  The
+parsers work on those arrays (``_parse_variable``, ``_parse_target``).  Fit
+and transform route records to table rows with ``preprocess.table_rows``;
 ``_pool_rows`` lists the rows after the bins once, for tables and outputs.
 
 Exit codes: 0 success, 2 no feasible binning for the data and constraints
@@ -21,8 +26,10 @@ input (unreadable files, unknown columns, malformed values or flags).
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -62,13 +69,149 @@ class _Parser(argparse.ArgumentParser):
 # --------------------------------------------------------------------------- #
 
 def _read_columns(path: str, names) -> list:
-    """The named columns of an RFC-4180 CSV file, as lists of raw strings.
+    """The named columns of an RFC-4180 CSV file, as arrays of UTF-8 byte
+    tokens (``_tokens``).
 
-    The file is read once, one record at a time, keeping only the named
-    fields.  Blank lines are skipped; a leading byte-order mark is dropped.
+    The whole file is read into memory once, and only the named fields are
+    extracted (``_byte_columns``).  Blank lines are skipped; a leading
+    byte-order mark is dropped.  A file with a quote, a lone CR, a NUL byte,
+    a line longer than the ``csv`` module's field size limit, or bytes that
+    are not UTF-8 goes through ``csv.reader`` (``_csv_columns``) instead,
+    which keeps RFC-4180 quoting exact and reports the read errors.
     """
     try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError("cannot read {}: {}".format(path, exc)) from exc
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if len(data) == start:
+        raise InputError("{} is empty".format(path))
+    if not data.endswith(b"\n"):
+        data += b"\n"  # a lone CR at the end becomes a CR LF: both end a line
+    columns = _byte_columns(path, data, start, names)
+    if columns is None:
+        del data                # the csv module reads the file again
+        columns = _csv_columns(path, names)
+    return columns
+
+
+def _byte_columns(path: str, data: bytes, start: int, names):
+    """``_read_columns`` on the bytes of a file that ends in a line feed and
+    whose text begins at ``start``, or None when the file needs the ``csv``
+    module.
+
+    A record is a line, less the CR of a CR LF, and its fields are the bytes
+    between its commas.  Every comma and line feed is located with numpy.
+    """
+    if (b'"' in data or b"\0" in data or not _is_utf8(data) or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    pos = _positions(buf, lambda b: (b == 44) | (b == 10))
+    records = _records(path, buf, pos, _positions(buf[pos], lambda b: b == 10),
+                       start, names)
+    if records is None:
+        return None
+    cols, kept = records
+    columns = []
+    for col in cols:
+        lo, hi = pos[kept + col] + 1, pos[kept + col + 1]
+        if b"\r" in data:
+            hi -= buf[hi - 1] == 13
+        columns.append(_tokens(data, lo, hi, len(data)))
+    return columns
+
+
+def _records(path: str, buf, pos, lines, start: int, names):
+    """(column of each name, the index in ``pos`` of the line feed before
+    each record that holds them all), or None when a line is longer than the
+    ``csv`` module's field size limit.  ``lines`` indexes the line feeds in
+    ``pos``, the ascending offsets of every comma and line feed in ``buf``.
+    Its per-line arrays are freed before the fields are cut out.
+    """
+    breaks = pos[lines]
+    # at offset 0, breaks - 1 reads the file's final line feed
+    cr = buf[breaks - 1] == 13
+    span = np.diff(breaks, prepend=breaks.dtype.type(start - 1))
+    span -= 1 + cr                          # the bytes of each line's text
+    if span.max() > csv.field_size_limit():
+        return None
+    head = buf[start:breaks[0] - cr[0]].tobytes()
+    header = head.decode("utf-8").split(",") if head else []
+    cols = [header.index(name) if name in header else 0 for name in names]
+    fields = np.diff(lines)                 # of each record after the header
+    present = (fields > 1) | (span[1:] > 0)     # blank lines hold no fields
+    for name, col in zip(names, cols):
+        if name not in header:
+            raise InputError("no column {!r} in {} (found: {})"
+                             .format(name, path, ", ".join(header)))
+        short = np.flatnonzero(present & (fields <= col))
+        if short.size:                      # the header is line 1
+            raise InputError("{} line {}: missing field {!r}"
+                             .format(path, short[0] + 2, name))
+    return cols, lines[:-1][present & (fields > max(cols))]
+
+
+def _is_utf8(data: bytes) -> bool:
+    """Whether ``data`` decodes as UTF-8, checked a block at a time."""
+    if data.isascii():
+        return True
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(data)
+    try:
+        for i in range(0, len(data), _BLOCK):
+            decoder.decode(view[i:i + _BLOCK])
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+# entries per block when scanning a file, which bounds the scratch arrays
+_BLOCK = 1 << 20
+
+
+def _positions(values, hit) -> np.ndarray:
+    """The ascending indices of the entries of ``values`` that the test
+    ``hit`` selects, found a block at a time; int32 while twice the size
+    fits, so that an offset plus a token's width does too (``_tokens``)."""
+    dtype = np.int32 if values.size < 2 ** 30 else np.int64
+    return np.concatenate([
+        (np.flatnonzero(hit(values[i:i + _BLOCK])) + i).astype(dtype)
+        for i in range(0, values.size, _BLOCK)])
+
+
+def _tokens(data: bytes, lo, hi, size: int) -> np.ndarray:
+    """``data[lo[i]:hi[i]]`` for every ``i``, as one array of byte tokens.
+
+    A fixed-width ``S`` array normally.  An object array of bytes when the
+    widest token times the token count would exceed ``size`` (the file's
+    size: one long field must not widen every row) or a token holds a NUL
+    byte, which ``S`` would drop from its end.
+    """
+    lengths = hi - lo
+    width = int(lengths.max(initial=0))
+    if width * lengths.size > size or b"\0" in data:
+        return np.array([data[a:b] for a, b in zip(lo.tolist(), hi.tolist())],
+                        dtype=object)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    out = np.zeros((lengths.size, max(width, 1)), dtype=np.uint8)
+    at = np.empty_like(lo)
+    for k in range(width):                  # byte k of every token
+        np.add(lo, k, out=at)
+        np.minimum(at, buf.size - 1, out=at)
+        byte = buf[at]
+        byte *= lengths > k
+        out[:, k] = byte
+    return out.view("S{}".format(out.shape[1])).ravel()
+
+
+def _csv_columns(path: str, names) -> list:
+    """``_read_columns`` through ``csv.reader``, one record at a time."""
+    try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
+            size = os.fstat(fh.fileno()).st_size
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -99,14 +242,46 @@ def _read_columns(path: str, names) -> list:
         if col in short:
             raise InputError("{} line {}: missing field {!r}"
                              .format(path, short[col], name))
-    return columns
+    tokens = []
+    for column in columns:
+        pieces = [field.encode("utf-8") for field in column]
+        lengths = np.fromiter(map(len, pieces), dtype=np.int64,
+                              count=len(pieces))
+        hi = np.cumsum(lengths)
+        lo = hi - lengths
+        tokens.append(_tokens(b"".join(pieces), lo, hi, size))
+    return tokens
 
 
-def _floats(tokens):
-    """``tokens`` parsed as Python's ``float()`` parses them, or None when
-    one of them is not a number."""
+def _encoded(text: str) -> bytes:
+    """``text`` as a token of the file: a surrogate (from an undecodable
+    command-line byte) becomes bytes that no UTF-8 token holds."""
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _decoded(tokens) -> list:
+    """The tokens as strings (every file read is UTF-8)."""
+    return [tok.decode("utf-8") for tok in tokens.tolist()]
+
+
+def _floats(tokens, missing):
+    """``tokens`` parsed as Python's ``float()`` parses them, NaN where
+    ``missing``, or None when one of them is not a number.
+
+    numpy parses ASCII tokens as ``float()`` does, but rejects non-ASCII
+    digits and spaces that ``float()`` accepts, so a column with a non-ASCII
+    byte that numpy rejects is parsed again token by token.
+    """
     try:
-        return np.array(tokens, dtype=float)
+        return np.where(missing, b"nan", tokens).astype(float)
+    except ValueError:
+        raw = tokens.tobytes() if tokens.dtype.kind == "S" \
+            else b"".join(tokens.tolist())
+        if raw.isascii():
+            return None
+    try:
+        return np.array(["nan" if m else tok for m, tok in
+                         zip(missing.tolist(), _decoded(tokens))], dtype=float)
     except ValueError:
         return None
 
@@ -125,28 +300,48 @@ def _not_float(tok: str) -> bool:
 
 
 def _parse_variable(tokens, dtype: str, missing_token: str) -> tuple:
-    """The variable column as (values, dtype).
+    """The variable column of byte tokens as (values, dtype).
 
     Numeric values are floats with NaN for missing (so a ``nan`` token is
-    missing too); categorical values are the raw strings with None for
-    missing.  ``auto`` picks numeric when every non-missing token parses as
-    a float.
+    missing too); categorical values are the decoded strings with None for
+    missing, each distinct label decoded once.  ``auto`` picks numeric when
+    every non-missing token parses as a float.
     """
-    if dtype == "auto" and tokens.count(missing_token) == len(tokens):
+    absent = _encoded(missing_token)
+    missing = tokens == absent
+    if dtype == "auto" and missing.all():
         raise InputError("variable column holds no non-missing values")
     if dtype != CATEGORICAL:
-        values = _floats(["nan" if tok == missing_token else tok
-                          for tok in tokens])
+        values = _floats(tokens, missing)
         if values is not None:
             return values, NUMERIC
         if dtype == NUMERIC:
             row, tok = _first_row(
-                tokens, lambda t: t != missing_token and _not_float(t))
+                _decoded(tokens),
+                lambda t: t != missing_token and _not_float(t))
             raise InputError(
                 "row {}: cannot parse {!r} as a number".format(row, tok))
-    values = np.array([None if tok == missing_token else tok
-                       for tok in tokens], dtype=object)
-    return values, CATEGORICAL
+    labels, inverse = _distinct(tokens)
+    decoded = [None if label == absent else label.decode("utf-8")
+               for label in labels.tolist()]
+    return np.array(decoded, dtype=object)[inverse], CATEGORICAL
+
+
+def _distinct(tokens) -> tuple:
+    """``np.unique(tokens, return_inverse=True)``: the sorted distinct tokens
+    and each token's index among them."""
+    if tokens.dtype.kind != "S" or tokens.itemsize > 8:
+        return np.unique(tokens, return_inverse=True)
+    # a token of up to 8 bytes, zero-padded to 1, 2, 4 or 8, is one
+    # big-endian word: words sort in the tokens' order, and several times
+    # faster than strings
+    size = 1 << (tokens.itemsize - 1).bit_length()
+    words = np.zeros((tokens.size, size), dtype=np.uint8)
+    words[:, :tokens.itemsize] = tokens.view(np.uint8).reshape(
+        -1, tokens.itemsize)
+    values, inverse = np.unique(words.view(">u{}".format(size)).ravel(),
+                                return_inverse=True)
+    return values.view("S{}".format(size)).astype(tokens.dtype), inverse
 
 
 def _not_class_label(tok: str) -> bool:
@@ -155,42 +350,54 @@ def _not_class_label(tok: str) -> bool:
 
 
 def _parse_target(tokens, kind: TargetKind, missing_token: str):
-    """Parse the target column; returns (values, possibly-updated kind).
+    """Parse the target column of byte tokens; returns (values,
+    possibly-updated kind).  Each distinct token is parsed once.
 
     Multi-class targets are recoded to 0..K-1 in sorted label order, and the
     class count is inferred from the data.
     """
-    if missing_token in tokens:
+    missing = tokens == _encoded(missing_token)
+    if missing.any():
         raise InputError("row {}: target value is missing"
-                         .format(tokens.index(missing_token) + 1))
-    y = _floats(tokens)
+                         .format(missing.argmax() + 1))
+    labels, inverse = _distinct(tokens)
+    strings = _decoded(labels)
+
+    def first(bad):
+        """(1-based row, token) of the first record whose label is bad."""
+        row = int(np.array([bad(s) for s in strings], dtype=bool)[inverse]
+                  .argmax())
+        return row + 1, strings[inverse[row]]
+
     if kind.is_binary:
-        if y is None or not np.all((y == 0.0) | (y == 1.0)):
-            row, tok = _first_row(
-                tokens, lambda t: _not_float(t) or float(t) not in (0.0, 1.0))
-            raise InputError(
-                "row {}: binary target must be 0 or 1; got {!r}".format(row, tok))
-        return y.astype(np.int64), kind
+        def bad(s):
+            return _not_float(s) or float(s) not in (0.0, 1.0)
+        if any(map(bad, strings)):
+            raise InputError("row {}: binary target must be 0 or 1; got {!r}"
+                             .format(*first(bad)))
+        return np.array(strings, dtype=float)[inverse].astype(np.int64), kind
     if kind.is_continuous:
-        if y is None:
-            row, tok = _first_row(tokens, _not_float)
-            raise InputError(
-                "row {}: cannot parse target {!r} as a number".format(row, tok))
-        return y, kind
-    if y is None or not np.all(np.isfinite(y) & (y == np.trunc(y))):
-        row, tok = _first_row(
-            tokens, lambda t: _not_float(t) or _not_class_label(t))
+        if any(map(_not_float, strings)):
+            raise InputError("row {}: cannot parse target {!r} as a number"
+                             .format(*first(_not_float)))
+        return np.array(strings, dtype=float)[inverse], kind
+
+    def bad(s):
+        return _not_float(s) or _not_class_label(s)
+    if any(map(bad, strings)):
+        row, tok = first(bad)
         if _not_float(tok):
             raise InputError(
                 "row {}: cannot parse class label {!r}".format(row, tok))
         raise InputError(
             "row {}: class labels must be integers; got {!r}".format(row, tok))
-    classes, codes = np.unique(y, return_inverse=True)
+    classes, codes = np.unique(np.array(strings, dtype=float),
+                               return_inverse=True)
     if classes.size < 3:
         raise InputError(
             "multiclass target has {} distinct labels; use a binary target"
             .format(classes.size))
-    return codes, TargetKind.multiclass(int(classes.size))
+    return codes[inverse], TargetKind.multiclass(int(classes.size))
 
 
 def _parse_specials(text: str | None, dtype: str) -> tuple:
@@ -287,6 +494,8 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     if cfg.max_pvalue is not None and not target_kind.is_binary:
         raise InvalidConfigError(["--max-pvalue applies to binary targets "
                                   "only, not {}".format(target_kind.kind)])
+    if dtype != NUMERIC:        # a label keeps its type: 1 is "1", not "1.0"
+        values = np.asarray(values, dtype=object)
     (xc, yc), (xs, ys_special), (xm, ys_missing) = \
         preprocess.split_missing_special(values, target, cfg.special_values)
     if not len(xc):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -484,6 +485,18 @@ def _whole_file_columns(path, names):
     return columns
 
 
+def _read_text(path, names):
+    """``cli._read_columns`` with every byte token decoded, as the reference
+    returns them; each column is a fixed-width ``S`` array or an object
+    array of bytes."""
+    columns = cli._read_columns(path, names)
+    for column in columns:
+        assert column.dtype.kind == "S" or all(
+            isinstance(tok, bytes) for tok in column), column.dtype
+    return [[tok.decode("utf-8") for tok in column.tolist()]
+            for column in columns]
+
+
 def _outcome(reader, path, names):
     """The columns read, or the message of the InputError raised."""
     try:
@@ -533,8 +546,72 @@ def test_reader_matches_the_whole_file_reference(tmp_path):
         pool = [*header, "zz"]                    # "zz" is never a column
         names = [str(pool[k]) for k in
                  rng.integers(0, len(pool), int(rng.integers(1, 4)))]
-        got = _outcome(cli._read_columns, path, names)
+        got = _outcome(_read_text, path, names)
         assert got == _outcome(_whole_file_columns, path, names), (i, names)
+        if isinstance(got, list):
+            seen.add("columns")
+        else:
+            seen.add(next(kind for kind in ("missing field", "no column",
+                                            "is empty") if kind in got))
+    assert seen == {"columns", "missing field", "no column", "is empty"}
+
+
+BOM = b"\xef\xbb\xbf"
+
+# fields the byte path reads: no quote, comma, CR, line feed or NUL
+_PLAIN_FIELDS = ("1.5", "-2", "", "abc", " pad ", "nan", "café", "١")
+
+
+def _plain_csv(rng) -> tuple:
+    """The bytes of a small CSV file without quoted fields, with blank lines
+    (sometimes the first), short records, extra fields, LF and CR LF endings
+    and sometimes no final line break; and its header."""
+    width = int(rng.integers(1, 5))
+    header = ["c{}".format(k) for k in range(width)]
+    records = [header] if rng.random() < 0.95 else []
+    if rng.random() < 0.1:
+        records.insert(0, [])                     # a blank first line
+    for _ in range(int(rng.integers(0, 9))):
+        u = rng.random()
+        if u < 0.15:
+            records.append([])
+            continue
+        n = width
+        if u < 0.35:
+            n = int(rng.integers(1, width + 1))   # maybe short
+        elif u < 0.45:
+            n = width + int(rng.integers(1, 3))   # extra fields
+        records.append([_PLAIN_FIELDS[i] for i in
+                        rng.integers(0, len(_PLAIN_FIELDS), n)])
+    text = "".join(",".join(record) + str(rng.choice(["\n", "\r\n"]))
+                   for record in records)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")                # no final line break
+    return text.encode("utf-8"), header
+
+
+def test_byte_path_matches_the_whole_file_reference(tmp_path, monkeypatch):
+    """Files without quotes, lone CRs or NULs never reach ``csv.reader``
+    and read as the reference reads them, with or without a byte-order
+    mark."""
+    def csv_module_used(path, names):
+        raise AssertionError("{} went through the csv module".format(path))
+
+    monkeypatch.setattr(cli, "_csv_columns", csv_module_used)
+    rng = np.random.default_rng(24)
+    seen = set()
+    for i in range(600):
+        path = tmp_path / "p{}.csv".format(i)
+        data, header = _plain_csv(rng)
+        pool = [*header, "zz"]
+        names = [str(pool[k]) for k in
+                 rng.integers(0, len(pool), int(rng.integers(1, 4)))]
+        path.write_bytes(data)
+        want = _outcome(_whole_file_columns, str(path), names)
+        if rng.random() < 0.2:
+            path.write_bytes(BOM + data)
+        got = _outcome(_read_text, str(path), names)
+        assert got == want, (i, names, data)
         if isinstance(got, list):
             seen.add("columns")
         else:
@@ -553,13 +630,47 @@ def test_reader_matches_the_whole_file_reference(tmp_path):
     (b"x,y\n1\n", ["y", "z"]),                    # short before unknown
     (b"x,y,z\n1,2,3,4\n5,6,7\n", ["z", "x"]),     # extra fields
     (b"x,y\n" + b"1,0\n" * 5000 + b"\xe9,1\n", ["x", "y"]),  # not UTF-8
+    (b"x,y\n\xff,1\n", ["x"]),
+    (b"x,y\r1,2\r\n3,4\n5,6", ["y", "x"]),        # a lone CR ends a record
+    (b"x,y\r", ["x"]),
+    (b"x,y\n1\x002,0\n3,4\x00\n", ["x", "y"]),    # NUL bytes stay in fields
+    pytest.param(b"x,y\n" + b"7" * 131073 + b",1\n", ["y"],
+                 id="over-the-csv-field-limit"),
+    pytest.param(b"x,y\n" + b"7" * 131072 + b",1\n2,3\n", ["x", "y"],
+                 id="at-the-csv-field-limit"),
+    (BOM, ["x"]),
+    (BOM + b"x,y\r\n\r\n1,2\r\n" + BOM + b"3,4", ["x", "y"]),  # and a U+FEFF
+    (BOM + b"x,y\n\xff,1\n", ["x"]),
+    (BOM + b"x,y\r1,2\n", ["y"]),
 ])
 def test_reader_edge_cases_match_the_reference(tmp_path, data, names):
-    path = str(tmp_path / "edge.csv")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    assert _outcome(cli._read_columns, path, names) == \
-        _outcome(_whole_file_columns, path, names)
+    """The reference reads the file without its byte-order mark, if any."""
+    path = tmp_path / "edge.csv"
+    path.write_bytes(data.removeprefix(BOM))
+    want = _outcome(_whole_file_columns, str(path), names)
+    path.write_bytes(data)
+    assert _outcome(_read_text, str(path), names) == want
+
+
+def test_one_long_field_does_not_widen_every_token(tmp_path):
+    """A 100 kB field among 50k short records: the column's tokens take
+    less memory than the file, where a fixed width would take 5 GB."""
+    lines = ["x,note", *("{},short note {}".format(k % 10, k % 97)
+                         for k in range(50_000))]
+    lines[1 + 25_000] = "{},long".format("9" * 100_000)
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        [column] = cli._read_columns(str(path), ["x"])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < size
+    assert column.dtype == object and len(column) == 50_000
+    assert column[25_000] == b"9" * 100_000 and column[7] == b"7"
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):
@@ -582,6 +693,167 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
         written.append((fit, transform, model.read_bytes(),
                         output.read_bytes()))
     assert written[0] == written[1]
+
+
+# --------------------------------------------------------------------------- #
+# parsing tokens
+# --------------------------------------------------------------------------- #
+
+def _reference_floats(tokens):
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError:
+        return None
+
+
+def _reference_first_row(tokens, bad):
+    return next((i, tok) for i, tok in enumerate(tokens, start=1) if bad(tok))
+
+
+def _reference_not_float(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return True
+    return False
+
+
+def _reference_parse_variable(tokens, dtype, missing_token):
+    """The variable parser on a list of strings, one Python object per
+    token, as the reader's string columns were parsed."""
+    if dtype == "auto" and tokens.count(missing_token) == len(tokens):
+        raise InputError("variable column holds no non-missing values")
+    if dtype != "categorical":
+        values = _reference_floats(["nan" if tok == missing_token else tok
+                                    for tok in tokens])
+        if values is not None:
+            return values, "numeric"
+        if dtype == "numeric":
+            row, tok = _reference_first_row(
+                tokens,
+                lambda t: t != missing_token and _reference_not_float(t))
+            raise InputError(
+                "row {}: cannot parse {!r} as a number".format(row, tok))
+    values = np.array([None if tok == missing_token else tok
+                       for tok in tokens], dtype=object)
+    return values, "categorical"
+
+
+def _reference_not_class_label(tok):
+    v = float(tok)
+    return not math.isfinite(v) or v != int(v)
+
+
+def _reference_parse_target(tokens, kind, missing_token):
+    """The target parser on a list of strings, token by token."""
+    if missing_token in tokens:
+        raise InputError("row {}: target value is missing"
+                         .format(tokens.index(missing_token) + 1))
+    y = _reference_floats(tokens)
+    if kind.is_binary:
+        if y is None or not np.all((y == 0.0) | (y == 1.0)):
+            row, tok = _reference_first_row(
+                tokens, lambda t: _reference_not_float(t)
+                or float(t) not in (0.0, 1.0))
+            raise InputError(
+                "row {}: binary target must be 0 or 1; got {!r}".format(row, tok))
+        return y.astype(np.int64), kind
+    if kind.is_continuous:
+        if y is None:
+            row, tok = _reference_first_row(tokens, _reference_not_float)
+            raise InputError(
+                "row {}: cannot parse target {!r} as a number".format(row, tok))
+        return y, kind
+    if y is None or not np.all(np.isfinite(y) & (y == np.trunc(y))):
+        row, tok = _reference_first_row(
+            tokens, lambda t: _reference_not_float(t)
+            or _reference_not_class_label(t))
+        if _reference_not_float(tok):
+            raise InputError(
+                "row {}: cannot parse class label {!r}".format(row, tok))
+        raise InputError(
+            "row {}: class labels must be integers; got {!r}".format(row, tok))
+    classes, codes = np.unique(y, return_inverse=True)
+    if classes.size < 3:
+        raise InputError(
+            "multiclass target has {} distinct labels; use a binary target"
+            .format(classes.size))
+    return codes, TargetKind.multiclass(int(classes.size))
+
+
+def _byte_tokens(strings, fixed: bool):
+    """``strings`` as the reader returns a column: a fixed-width array, or
+    the object array that a long field makes."""
+    pieces = [s.encode("utf-8") for s in strings]
+    lengths = np.array([len(p) for p in pieces], dtype=np.int64)
+    hi = np.cumsum(lengths)
+    blob = b"".join(pieces)
+    return cli._tokens(blob, hi - lengths, hi, len(blob) if fixed else 0)
+
+
+def _result(parse, *args):
+    """(values as dtype and bits, the second item), or the error message."""
+    try:
+        values, second = parse(*args)
+    except InputError as exc:
+        return str(exc)
+    bits = values.tolist() if values.dtype == object else \
+        values.view(np.uint8).tobytes()
+    return values.dtype.str, bits, second
+
+
+# pieces of numbers and not-numbers; float() takes the non-ASCII digits and
+# spaces, which numpy rejects in bytes
+_PIECES = ("0", "1", "7", "12", "-", "+", ".", "e", "E", "_", " ", "\t",
+           "\x0b", "\x1c", "inf", "nan", "Infinity", "x", "١", "٢", "\xa0",
+           "　", "é")
+
+
+def _fuzz_token(rng):
+    return "".join(_PIECES[k] for k in
+                   rng.integers(0, len(_PIECES), int(rng.integers(1, 4))))
+
+
+def _fuzz_column(rng, words):
+    """A column drawn from ``words``, sometimes with a fuzzed token."""
+    column = [words[k] for k in rng.integers(0, len(words),
+                                             int(rng.integers(1, 12)))]
+    if rng.random() < 0.5:
+        column[int(rng.integers(0, len(column)))] = _fuzz_token(rng)
+    return column
+
+
+_NUMBERS = ("0", "1", "-2.5", "1e3", "1_000", " 4 ", "\t5", "nan", "-nan",
+            "inf", "-Infinity", "0.1", "-0", "", "NA", "١٢", "\xa03")
+
+
+def test_parsers_on_byte_tokens_match_the_string_parsers():
+    """On every fuzzed column, parsing byte tokens (fixed-width or objects)
+    gives the string parsers' floats bit for bit, their object arrays and
+    their error messages."""
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    kinds = (TargetKind.binary(), TargetKind.continuous(),
+             TargetKind(kind="multiclass", n_classes=0))
+    for i in range(1500):
+        strings = _fuzz_column(rng, _NUMBERS)
+        missing = str(rng.choice(["", "NA"]))
+        for fixed in (True, False):
+            tokens = _byte_tokens(strings, fixed)
+            for dtype in ("auto", "numeric", "categorical"):
+                want = _result(_reference_parse_variable, strings, dtype,
+                               missing)
+                got = _result(cli._parse_variable, tokens, dtype, missing)
+                assert got == want, (i, strings, dtype, missing, fixed)
+                outcomes.add(want[2] if isinstance(want, tuple) else "error")
+            labels = _fuzz_column(rng, ("0", "1", "2", "1.0", " 2", "-0",
+                                        "3", "1_0", "nan", "١", "2.5"))
+            target = _byte_tokens(labels, fixed)
+            for kind in kinds:
+                want = _result(_reference_parse_target, labels, kind, missing)
+                got = _result(cli._parse_target, target, kind, missing)
+                assert got == want, (i, labels, kind, missing, fixed)
+    assert outcomes == {"numeric", "categorical", "error"}
 
 
 # --------------------------------------------------------------------------- #
@@ -971,6 +1243,25 @@ def test_fit_and_transform_route_non_string_labels_alike():
     assert model.missing.count == sum(1 for v in values if v is None)
 
 
+@pytest.mark.parametrize("as_array", [False, True])
+def test_numeric_labels_fit_and_transform_as_categories(as_array):
+    """A categorical column held as numbers keeps its labels: the int ``1``
+    is the category ``"1"``, not ``"1.0"``, so transforming the fitted
+    values puts every record in the bin that counted it."""
+    rng = np.random.default_rng(5)
+    values = rng.integers(1, 5, 400)
+    values = values if as_array else values.tolist()
+    target = (rng.random(400) < np.array([0, 0.2, 0.4, 0.5, 0.7])[values]) \
+        .astype(int)
+    model = cli._fit(values, target, TargetKind.binary(),
+                     BinningConfig(min_bins=1), "x", "categorical")
+    assert sorted(lab for g in model.groups for lab in g) == \
+        ["1", "2", "3", "4"]
+    rows = cli.transform_values(model, values, "index")
+    counts = [b.count for b in model.bins]
+    assert np.bincount(rows, minlength=len(counts)).tolist() == counts
+
+
 # --------------------------------------------------------------------------- #
 # report
 # --------------------------------------------------------------------------- #
@@ -1047,6 +1338,32 @@ def test_importing_the_cli_skips_scipy():
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "[]"
+
+
+def test_transform_and_categorical_fit_skip_numpy_ma(tmp_path, capsys):
+    """Transforms and a categorical fit never import ``numpy.ma`` (about
+    15 ms): ``np.unique`` without an index or inverse would.  A numeric fit
+    still does, through ``np.quantile``."""
+    data = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+    num, cat = str(tmp_path / "num.json"), str(tmp_path / "cat.json")
+    assert run(capsys, ["fit", "--data", data, "--variable", "num",
+                        "--target", "yb", "--special-values=-999",
+                        "--model", num])[0] == 0
+    argvs = [
+        ["transform", "--data", data, "--model", num,
+         "--output", str(tmp_path / "num.txt")],
+        ["fit", "--data", data, "--variable", "cat", "--target", "yb",
+         "--others-cutoff", "0.05", "--model", cat, "--format", "json"],
+        ["transform", "--data", data, "--model", cat,
+         "--output", str(tmp_path / "cat.txt")],
+    ]
+    code = ("import sys; from binopt import cli; "
+            "codes = [cli.main(argv) for argv in {!r}]; "
+            "print(codes, 'numpy.ma' in sys.modules)".format(argvs))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False", out.stderr
 
 
 def test_fit_and_report_run_without_scipy(tmp_path):
