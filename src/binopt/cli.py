@@ -142,15 +142,23 @@ def _records(path: str, buf, pos, lines, start: int, names):
     cols = [header.index(name) if name in header else 0 for name in names]
     fields = np.diff(lines)                 # of each record after the header
     present = (fields > 1) | (span[1:] > 0)     # blank lines hold no fields
-    for name, col in zip(names, cols):
+    # the line of the first record that lacks each column (the header is 1)
+    short = {col: rows[0] + 2 for col in cols
+             if (rows := np.flatnonzero(present & (fields <= col))).size}
+    _check_columns(path, names, header, short)
+    return cols, lines[:-1][present & (fields > max(cols))]
+
+
+def _check_columns(path: str, names, header, short: dict) -> None:
+    """Raise InputError for the first of ``names`` not in ``header`` or that
+    a record lacks (``short``: column -> line of the first such record)."""
+    for name in names:
         if name not in header:
             raise InputError("no column {!r} in {} (found: {})"
                              .format(name, path, ", ".join(header)))
-        short = np.flatnonzero(present & (fields <= col))
-        if short.size:                      # the header is line 1
+        if header.index(name) in short:
             raise InputError("{} line {}: missing field {!r}"
-                             .format(path, short[0] + 2, name))
-    return cols, lines[:-1][present & (fields > max(cols))]
+                             .format(path, short[header.index(name)], name))
 
 
 def _is_utf8(data: bytes) -> bool:
@@ -235,13 +243,7 @@ def _csv_columns(path: str, names) -> list:
                 skipped += 1
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError("cannot read {}: {}".format(path, exc)) from exc
-    for name, col in zip(names, cols):
-        if name not in header:
-            raise InputError("no column {!r} in {} (found: {})"
-                             .format(name, path, ", ".join(header)))
-        if col in short:
-            raise InputError("{} line {}: missing field {!r}"
-                             .format(path, short[col], name))
+    _check_columns(path, names, header, short)
     tokens = []
     for column in columns:
         pieces = [field.encode("utf-8") for field in column]
@@ -286,9 +288,11 @@ def _floats(tokens, missing):
         return None
 
 
-def _first_row(tokens, bad) -> tuple:
-    """(1-based row, token) of the first token for which ``bad`` holds."""
-    return next((i, tok) for i, tok in enumerate(tokens, start=1) if bad(tok))
+def _first(strings, inverse, bad) -> tuple:
+    """(1-based row, label) of the first record whose label is flagged:
+    ``bad`` flags the distinct ``strings``, which ``inverse`` indexes."""
+    row = int(np.asarray(bad, dtype=bool)[inverse].argmax())
+    return row + 1, strings[inverse[row]]
 
 
 def _not_float(tok: str) -> bool:
@@ -305,7 +309,9 @@ def _parse_variable(tokens, dtype: str, missing_token: str) -> tuple:
     Numeric values are floats with NaN for missing (so a ``nan`` token is
     missing too); categorical values are the decoded strings with None for
     missing, each distinct label decoded once.  ``auto`` picks numeric when
-    every non-missing token parses as a float.
+    every non-missing token parses as a float.  A numeric column is cast
+    whole: sorting out its distinct tokens first would cost more than the
+    cast when most tokens are distinct (full-precision floats).
     """
     absent = _encoded(missing_token)
     missing = tokens == absent
@@ -315,16 +321,14 @@ def _parse_variable(tokens, dtype: str, missing_token: str) -> tuple:
         values = _floats(tokens, missing)
         if values is not None:
             return values, NUMERIC
-        if dtype == NUMERIC:
-            row, tok = _first_row(
-                _decoded(tokens),
-                lambda t: t != missing_token and _not_float(t))
-            raise InputError(
-                "row {}: cannot parse {!r} as a number".format(row, tok))
     labels, inverse = _distinct(tokens)
-    decoded = [None if label == absent else label.decode("utf-8")
+    strings = [None if label == absent else label.decode("utf-8")
                for label in labels.tolist()]
-    return np.array(decoded, dtype=object)[inverse], CATEGORICAL
+    if dtype == NUMERIC:
+        raise InputError("row {}: cannot parse {!r} as a number".format(
+            *_first(strings, inverse, [s is not None and _not_float(s)
+                                       for s in strings])))
+    return np.array(strings, dtype=object)[inverse], CATEGORICAL
 
 
 def _distinct(tokens) -> tuple:
@@ -344,17 +348,12 @@ def _distinct(tokens) -> tuple:
     return values.view("S{}".format(size)).astype(tokens.dtype), inverse
 
 
-def _not_class_label(tok: str) -> bool:
-    v = float(tok)
-    return not math.isfinite(v) or v != int(v)
-
-
-def _parse_target(tokens, kind: TargetKind, missing_token: str):
-    """Parse the target column of byte tokens; returns (values,
-    possibly-updated kind).  Each distinct token is parsed once.
-
-    Multi-class targets are recoded to 0..K-1 in sorted label order, and the
-    class count is inferred from the data.
+def _parse_target(tokens, kind: str, missing_token: str):
+    """The target column of byte tokens parsed as a ``kind`` (``binary``,
+    ``continuous`` or ``multiclass``) target, and its TargetKind.  Each
+    distinct token is parsed once.  A continuous target must be finite; a
+    multi-class one is recoded to 0..K-1 in sorted label order, with the
+    class count inferred from the data.
     """
     missing = tokens == _encoded(missing_token)
     if missing.any():
@@ -363,29 +362,29 @@ def _parse_target(tokens, kind: TargetKind, missing_token: str):
     labels, inverse = _distinct(tokens)
     strings = _decoded(labels)
 
-    def first(bad):
-        """(1-based row, token) of the first record whose label is bad."""
-        row = int(np.array([bad(s) for s in strings], dtype=bool)[inverse]
-                  .argmax())
-        return row + 1, strings[inverse[row]]
-
-    if kind.is_binary:
-        def bad(s):
-            return _not_float(s) or float(s) not in (0.0, 1.0)
-        if any(map(bad, strings)):
+    if kind == "binary":
+        bad = [_not_float(s) or float(s) not in (0.0, 1.0) for s in strings]
+        if any(bad):
             raise InputError("row {}: binary target must be 0 or 1; got {!r}"
-                             .format(*first(bad)))
-        return np.array(strings, dtype=float)[inverse].astype(np.int64), kind
-    if kind.is_continuous:
-        if any(map(_not_float, strings)):
+                             .format(*_first(strings, inverse, bad)))
+        return np.array(strings, dtype=float)[inverse].astype(np.int64), \
+            TargetKind(kind)
+    if kind == "continuous":
+        bad = [_not_float(s) for s in strings]
+        if any(bad):
             raise InputError("row {}: cannot parse target {!r} as a number"
-                             .format(*first(_not_float)))
-        return np.array(strings, dtype=float)[inverse], kind
+                             .format(*_first(strings, inverse, bad)))
+        values = np.array(strings, dtype=float)
+        if not np.isfinite(values).all():
+            raise InputError("row {}: target {!r} is not a finite number"
+                             .format(*_first(strings, inverse,
+                                             ~np.isfinite(values))))
+        return values[inverse], TargetKind(kind)
 
-    def bad(s):
-        return _not_float(s) or _not_class_label(s)
-    if any(map(bad, strings)):
-        row, tok = first(bad)
+    # is_integer() is False for nan and inf
+    bad = [_not_float(s) or not float(s).is_integer() for s in strings]
+    if any(bad):
+        row, tok = _first(strings, inverse, bad)
         if _not_float(tok):
             raise InputError(
                 "row {}: cannot parse class label {!r}".format(row, tok))
@@ -456,18 +455,22 @@ def _bin_stats(target_kind: TargetKind, count: int, target, ne_total: float,
     return BinStats(count=count, class_counts=tuple(target))
 
 
+def _row_stats(table, ne_total: float, e_total: float) -> list:
+    """Stats of each row of the pre-bin table ``table``."""
+    kind = table.target
+    targets = (table.event if kind.is_binary else table.total
+               if kind.is_continuous else table.class_events.T).tolist()
+    return [_bin_stats(kind, count, target, ne_total, e_total)
+            for count, target in zip(table.count.tolist(), targets)]
+
+
 def _pool_stats(ys, target_kind: TargetKind, ne_total: float,
                 e_total: float) -> BinStats:
-    """Stats of the pool of records whose targets are ``ys``."""
-    if target_kind.is_binary:
-        target = int(np.sum(ys))
-    elif target_kind.is_continuous:
-        # a left-to-right sum, as np.bincount gives the pre-bin totals;
-        # np.sum's pairwise order could change the last bits
-        target = sum(ys.tolist())
-    else:
-        target = np.bincount(ys, minlength=target_kind.n_classes).tolist()
-    return _bin_stats(target_kind, len(ys), target, ne_total, e_total)
+    """Stats of the pool of records whose targets are ``ys``, as a row."""
+    pool = preprocess.PrebinTable(target_kind, **preprocess._tabulate(
+        np.zeros(len(ys), dtype=np.intp), np.asarray(ys, dtype=float),
+        target_kind, 1))
+    return _row_stats(pool, ne_total, e_total)[0]
 
 
 def _assess(bins, divergence: str):
@@ -502,23 +505,15 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
         raise DegenerateColumnError(
             "no records left after routing special and missing values")
 
-    others: tuple = ()
     if dtype == NUMERIC:
         splits = preprocess.prebin_numeric(xc, cfg.prebin_count,
                                            cfg.prebin_min_frac)
         table = preprocess.build_prebin_table(xc, yc, target_kind,
                                               splits=splits)
+        pool = None
     else:
-        cats, others = preprocess.prebin_categorical(xc, yc,
-                                                     cfg.cat_others_cutoff)
-        groups = tuple((c,) for c in cats)
-        if others:
-            in_pool = preprocess.table_rows(xc, groups=groups,
-                                            others=True) == len(groups)
-            ys_others = yc[in_pool]
-            xc, yc = xc[~in_pool], yc[~in_pool]
-        table = preprocess.build_prebin_table(xc, yc, target_kind,
-                                              groups=groups)
+        table, pool = preprocess.prebin_categorical(
+            xc, yc, target_kind, cfg.cat_others_cutoff)
 
     if target_kind.is_binary:
         table = preprocess.refine_prebins(table)
@@ -559,15 +554,10 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
         e_total = float(np.sum(target))
         ne_total = len(target) - e_total
     binned = preprocess.merge_runs(table, [s for s, _ in sol.intervals])
-    targets = (binned.event if target_kind.is_binary else binned.total
-               if target_kind.is_continuous else binned.class_events.T).tolist()
-    bins = [_bin_stats(target_kind, count, target, ne_total, e_total)
-            for count, target in zip(binned.count.tolist(), targets)]
-
+    bins = _row_stats(binned, ne_total, e_total)
     special = _pool_stats(ys_special, target_kind, ne_total, e_total)
     missing = _pool_stats(ys_missing, target_kind, ne_total, e_total)
-    others_stats = _pool_stats(ys_others, target_kind, ne_total, e_total) \
-        if others else None
+    others_stats = _row_stats(pool, ne_total, e_total)[0] if pool else None
 
     q = _assess(bins, cfg.divergence).score if target_kind.is_binary else None
 
@@ -581,7 +571,8 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
 
     return BinningModel(
         variable=variable, dtype=dtype, target_kind=target_kind,
-        splits=binned.splits, groups=binned.groups, others=tuple(others),
+        splits=binned.splits, groups=binned.groups,
+        others=pool.groups[0] if pool else (),
         bins=tuple(bins), special=special, missing=missing,
         others_stats=others_stats,
         transform_values=() if target_kind.is_multiclass
@@ -732,13 +723,9 @@ def render_quality(model: BinningModel) -> str:
 # --------------------------------------------------------------------------- #
 
 def cmd_fit(args) -> int:
-    kind = {"binary": TargetKind.binary(),
-            "continuous": TargetKind.continuous(),
-            "multiclass": TargetKind(kind="multiclass", n_classes=0)}[
-        args.target_kind]
     values, target = _read_columns(args.data, [args.variable, args.target])
     values, dtype = _parse_variable(values, args.dtype, args.missing_token)
-    target, kind = _parse_target(target, kind, args.missing_token)
+    target, kind = _parse_target(target, args.target_kind, args.missing_token)
 
     cfg = BinningConfig(
         min_bins=args.min_bins, max_bins=args.max_bins,

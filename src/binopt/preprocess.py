@@ -2,11 +2,11 @@
 
 The optimizer never sees raw records.  ``table_rows`` routes each one to its
 row of the binning table (the bins, then Others, Special, Missing) for the
-fit's clean / special / missing streams, Others pool and pre-bin counts, and
-for transform.  The clean stream is discretized into a modest number of
-ordered "pre-bins" (equal-frequency for numeric columns, one per category for
-categorical ones), and per-pre-bin counts are tabulated.  The solver then
-merges contiguous runs of pre-bins.
+fit's clean / special / missing streams and numeric pre-bin counts, and for
+transform.  The clean stream is discretized into ordered "pre-bins"
+(equal-frequency for numeric columns; for categorical ones one per category,
+coded once, with Others as one extra row), counted by one bincount block
+(``_tabulate``).  The solver then merges contiguous runs of pre-bins.
 
 Every merge of adjacent pre-bins is one fold, ``merge_runs``.  The pre-bin
 floor, empty pre-bins and refinement pick its runs in one greedy pass
@@ -56,9 +56,10 @@ def table_rows(values, special_values=(), *, splits=None, groups=None,
     None and NaN are missing; any other record equal (``==``) to a special
     value is special, so ``0`` and ``-0`` are one value and the label ``3`` is
     not ``"3"``.  A numeric column passes ascending ``splits`` (a value equal
-    to a split goes right); a categorical one passes ``groups`` of labels,
-    matched as strings, and a label in none goes to Others or, with no Others
-    row, raises InputError.  With neither, the column keeps its dtype and is
+    to a split goes right); a categorical model passes its ``groups`` of
+    labels, matched as strings (``prebin_categorical`` keys categories so
+    too), and a label in none goes to Others or, with no Others row, raises
+    InputError.  With neither, the column keeps its dtype and is
     one bin: rows 0, 1 and 2 are clean, special and missing.
     """
     if groups is not None:
@@ -139,32 +140,48 @@ def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05
     return tuple(splits[np.asarray(starts[1:], dtype=np.intp) - 1].tolist())
 
 
-def prebin_categorical(values, target, cutoff: float = 0.0):
-    """Order categories for ordinal treatment; pool rare ones.
+def prebin_categorical(values, target, target_kind: TargetKind,
+                       cutoff: float = 0.0):
+    """One pre-bin per category of a clean column, in ordinal order; rare
+    categories pooled.
 
-    Categories whose frequency share is strictly below ``cutoff`` go to the
-    "others" pool.  The rest are sorted ascending by event rate (binary) or by
-    target mean (continuous and multi-class, the latter on the numeric class
-    codes), ties broken by label.  Returns (ordered_categories, others).
+    Categories are keyed by their string form (the int ``1`` is ``"1"``).
+    Those whose frequency share is strictly below ``cutoff`` are pooled; the
+    rest are sorted ascending by event rate (binary) or by target mean
+    (continuous and multi-class, the latter on the numeric class codes),
+    ties broken by label.  Returns (table, pool): the kept categories'
+    pre-bin table, and a one-row table of the pooled records whose group
+    lists their labels (sorted), or None.
     """
-    n_total = len(values)
-    if n_total == 0:
+    if len(values) == 0:
         raise DegenerateColumnError("no clean records to pre-bin")
-    labels, codes = label_codes(values)
+    objects, codes = label_codes(values)
+    position = {}                       # labels of one string form merge
+    codes = np.array([position.setdefault(str(v), len(position))
+                      for v in objects], dtype=np.intp)[codes]
+    labels = list(position)
     if len(labels) <= 1:
         raise DegenerateColumnError(
-            "column has a single distinct category {!r}".format(labels[0]))
+            "column has a single distinct category {!r}".format(objects[0]))
+    y = np.asarray(target, dtype=float)
     counts = np.bincount(codes).tolist()
     # np.bincount adds the weights in record order, as a running sum would
-    sums = np.bincount(codes, weights=np.asarray(target, dtype=float)).tolist()
-    others = sorted(str(c) for c, n in zip(labels, counts)
-                    if n < cutoff * n_total)
-    others_set = set(others)
-    kept = [k for k, c in enumerate(labels) if str(c) not in others_set]
+    sums = np.bincount(codes, weights=y).tolist()
+    pooled = [n < cutoff * len(values) for n in counts]
+    kept = [k for k, p in enumerate(pooled) if not p]
     if not kept:
         raise DegenerateColumnError("every category fell below the others cutoff")
-    kept.sort(key=lambda k: (sums[k] / counts[k], str(labels[k])))
-    return tuple(str(labels[k]) for k in kept), tuple(others)
+    kept.sort(key=lambda k: (sums[k] / counts[k], labels[k]))
+    n = len(kept)
+    row = np.full(len(labels), n, dtype=np.intp)    # Others is row n
+    row[kept] = np.arange(n)
+    arrays = _tabulate(row[codes], y, target_kind, n + 1)
+    others = tuple(sorted(lab for lab, p in zip(labels, pooled) if p))
+    groups = (*((labels[k],) for k in kept), others)
+    table, pool = (PrebinTable(target=target_kind, groups=groups[part],
+                               **{f: a[..., part] for f, a in arrays.items()})
+                   for part in (slice(n), slice(n, None)))
+    return table, pool if others else None
 
 
 # --------------------------------------------------------------------------- #
@@ -211,43 +228,35 @@ class PrebinTable:
         return np.asarray(self.total, dtype=float) / self.count
 
 
-def build_prebin_table(values, target, target_kind: TargetKind, *,
-                       splits=None, groups=None) -> PrebinTable:
-    """Tabulate per-pre-bin counts from clean records.
-
-    Numeric path: pass ``splits`` (possibly empty: one pre-bin holds all
-    records); any split with no records on its left is dropped so every
-    pre-bin is nonempty.  Categorical path: pass ``groups`` (ordered tuples of
-    labels); a value in no group raises InputError.  Both route through
-    ``table_rows``.
-    """
-    y = np.asarray(target, dtype=float)
-    if groups is not None:
-        n, splits, groups = len(groups), (), tuple(tuple(g) for g in groups)
-        idx = table_rows(values, groups=groups)
-    else:
-        s = np.sort(np.asarray(() if splits is None else splits, dtype=float))
-        n, splits, groups = s.size + 1, tuple(s.tolist()), ()
-        idx = table_rows(values, splits=s)
-
-    count = np.bincount(idx, minlength=n).astype(np.int64)
-
-    nonevent = event = total = class_events = None
+def _tabulate(rows, y, target_kind: TargetKind, n: int) -> dict:
+    """The count arrays of a ``PrebinTable`` of ``n`` rows, for records
+    routed to ``rows`` with float targets ``y``."""
+    count = np.bincount(rows, minlength=n).astype(np.int64)
     if target_kind.is_binary:
-        event = np.bincount(idx, weights=y, minlength=n).astype(np.int64)
-        nonevent = count - event
-    elif target_kind.is_continuous:
-        total = np.bincount(idx, weights=y, minlength=n).astype(float)
-    else:
-        class_events = np.stack([
-            np.bincount(idx[y == c], minlength=n).astype(np.int64)
-            for c in range(target_kind.n_classes)
-        ])
-    table = PrebinTable(target=target_kind, count=count, nonevent=nonevent,
-                        event=event, total=total, class_events=class_events,
-                        splits=splits, groups=groups)
+        event = np.bincount(rows, weights=y, minlength=n).astype(np.int64)
+        return dict(count=count, nonevent=count - event, event=event)
+    if target_kind.is_continuous:
+        return dict(count=count,
+                    total=np.bincount(rows, weights=y, minlength=n))
+    return dict(count=count, class_events=np.stack([
+        np.bincount(rows[y == c], minlength=n).astype(np.int64)
+        for c in range(target_kind.n_classes)]))
+
+
+def build_prebin_table(values, target, target_kind: TargetKind, *,
+                       splits=None) -> PrebinTable:
+    """Tabulate per-pre-bin counts from the clean records of a numeric
+    column under ``splits`` (None or empty: one pre-bin holds all records).
+    Any split with no records on its left is dropped so every pre-bin is
+    nonempty.  Categorical tables come from ``prebin_categorical``.
+    """
+    s = np.sort(np.asarray(() if splits is None else splits, dtype=float))
+    table = PrebinTable(target=target_kind, splits=tuple(s.tolist()),
+                        **_tabulate(table_rows(values, splits=s),
+                                    np.asarray(target, dtype=float),
+                                    target_kind, s.size + 1))
     # a run holds one nonempty pre-bin: its sums add zeros to that one's
-    return merge_runs(table, _count_runs(count, 1)) if splits else table
+    return merge_runs(table, _count_runs(table.count, 1)) if s.size else table
 
 
 # --------------------------------------------------------------------------- #

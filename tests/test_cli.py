@@ -407,6 +407,10 @@ class TestFitExitCodes:
          "row 3: class labels must be integers; got 'nan'"),
         ("3.5", "inf", ["--target-kind", "multiclass"],
          "row 3: class labels must be integers; got 'inf'"),
+        ("3.5", "nan", ["--target-kind", "continuous"],
+         "row 3: target 'nan' is not a finite number"),
+        ("3.5", "-inf", ["--target-kind", "continuous"],
+         "row 3: target '-inf' is not a finite number"),
     ])
     def test_parse_errors_name_the_row(self, tmp_path, capsys, x, y, flags,
                                        message):
@@ -745,25 +749,31 @@ def _reference_not_class_label(tok):
 
 
 def _reference_parse_target(tokens, kind, missing_token):
-    """The target parser on a list of strings, token by token."""
+    """The target parser on a list of strings, token by token; a continuous
+    target must also be finite."""
     if missing_token in tokens:
         raise InputError("row {}: target value is missing"
                          .format(tokens.index(missing_token) + 1))
     y = _reference_floats(tokens)
-    if kind.is_binary:
+    if kind == "binary":
         if y is None or not np.all((y == 0.0) | (y == 1.0)):
             row, tok = _reference_first_row(
                 tokens, lambda t: _reference_not_float(t)
                 or float(t) not in (0.0, 1.0))
             raise InputError(
                 "row {}: binary target must be 0 or 1; got {!r}".format(row, tok))
-        return y.astype(np.int64), kind
-    if kind.is_continuous:
+        return y.astype(np.int64), TargetKind.binary()
+    if kind == "continuous":
         if y is None:
             row, tok = _reference_first_row(tokens, _reference_not_float)
             raise InputError(
                 "row {}: cannot parse target {!r} as a number".format(row, tok))
-        return y, kind
+        if not np.isfinite(y).all():
+            row, tok = _reference_first_row(
+                tokens, lambda t: not math.isfinite(float(t)))
+            raise InputError(
+                "row {}: target {!r} is not a finite number".format(row, tok))
+        return y, TargetKind.continuous()
     if y is None or not np.all(np.isfinite(y) & (y == np.trunc(y))):
         row, tok = _reference_first_row(
             tokens, lambda t: _reference_not_float(t)
@@ -833,8 +843,7 @@ def test_parsers_on_byte_tokens_match_the_string_parsers():
     their error messages."""
     rng = np.random.default_rng(31)
     outcomes = set()
-    kinds = (TargetKind.binary(), TargetKind.continuous(),
-             TargetKind(kind="multiclass", n_classes=0))
+    kinds = ("binary", "continuous", "multiclass")
     for i in range(1500):
         strings = _fuzz_column(rng, _NUMBERS)
         missing = str(rng.choice(["", "NA"]))

@@ -138,24 +138,30 @@ class TestPrebinCategorical:
         # rates: a=0.0, b=1.0, c=0.5, d=0.5  ->  a, c, d, b
         values = ["a", "a", "b", "b", "c", "c", "d", "d"]
         target = [0, 0, 1, 1, 0, 1, 1, 0]
-        ordered, others = prebin_categorical(values, target)
-        assert ordered == ("a", "c", "d", "b")
-        assert others == ()
+        table, pool = prebin_categorical(values, target, TargetKind.binary())
+        assert table.groups == (("a",), ("c",), ("d",), ("b",))
+        assert table.count.tolist() == [2, 2, 2, 2]
+        assert table.event.tolist() == [0, 1, 1, 2]
+        assert pool is None
 
     def test_cutoff_pools_rare_categories(self):
         values = ["a"] * 48 + ["b"] * 48 + ["x"] * 2 + ["y"] * 2
         target = [0, 1] * 50
-        ordered, others = prebin_categorical(values, target, cutoff=0.05)
-        assert others == ("x", "y")
-        assert set(ordered) == {"a", "b"}
+        table, pool = prebin_categorical(values, target, TargetKind.binary(),
+                                         cutoff=0.05)
+        assert pool.groups == (("x", "y"),)
+        assert pool.count.tolist() == [4] and pool.event.tolist() == [2]
+        assert {g for (g,) in table.groups} == {"a", "b"}
+        assert table.n_records == 96
 
     def test_single_category_degenerate(self):
         with pytest.raises(DegenerateColumnError):
-            prebin_categorical(["a"] * 10, [0, 1] * 5)
+            prebin_categorical(["a"] * 10, [0, 1] * 5, TargetKind.binary())
 
     def test_everything_pooled_degenerate(self):
         with pytest.raises(DegenerateColumnError):
-            prebin_categorical(["a", "b", "c", "d"], [0, 1, 0, 1], cutoff=0.9)
+            prebin_categorical(["a", "b", "c", "d"], [0, 1, 0, 1],
+                               TargetKind.binary(), cutoff=0.9)
 
 
 class TestBuildTable:
@@ -188,14 +194,6 @@ class TestBuildTable:
                                TargetKind.continuous(), splits=(2.5,))
         assert list(t.total) == [30.0, 31.0]
         assert list(t.means()) == [15.0, 31.0]
-
-    def test_categorical_groups(self):
-        t = build_prebin_table(["a", "b", "a", "c"], [0, 1, 1, 0],
-                               TargetKind.binary(),
-                               groups=(("a",), ("b", "c")))
-        assert list(t.count) == [2, 2]
-        assert list(t.event) == [1, 1]
-        assert t.groups == (("a",), ("b", "c"))
 
     def test_multiclass_class_events(self):
         t = build_prebin_table([1.0, 2.0, 3.0, 4.0], [0, 1, 2, 0],
@@ -269,8 +267,9 @@ class TestRefine:
             refine_prebins_multiclass(t)
 
     def test_categorical_refine_concatenates_groups(self):
-        t = build_prebin_table(
-            ["a", "a", "b", "c", "c"], [0, 1, 0, 0, 1],
-            TargetKind.binary(), groups=(("a",), ("b",), ("c",)))
+        # rates b=0, a=0.5, c=0.5: the event-free b merges into a
+        t, _ = prebin_categorical(["a", "a", "b", "c", "c"], [0, 1, 0, 0, 1],
+                                  TargetKind.binary())
+        assert t.groups == (("b",), ("a",), ("c",))
         r = refine_prebins(t)
-        assert r.groups == (("a",), ("b", "c"))
+        assert r.groups == (("b", "a"), ("c",))
