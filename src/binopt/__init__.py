@@ -15,7 +15,6 @@ from .core import (
     TrendSpec,
     BinningConfig,
     validate_config,
-    with_trend,
     Solution,
     BinStats,
     BinningModel,
@@ -50,7 +49,6 @@ from .solver import (
     evaluate_partition,
     presolve_monotonic,
     solve,
-    solve_peak_valley,
     brute_force_oracle,
 )
 from .localsearch import (
@@ -78,7 +76,7 @@ __all__ = [
     "MalformedEncodingError",
     "InputError",
     "TargetKind", "TrendSpec", "BinningConfig", "validate_config",
-    "with_trend", "Solution", "BinStats", "BinningModel",
+    "Solution", "BinStats", "BinningModel",
     "OPTIMAL", "FEASIBLE", "INFEASIBLE", "TIME_LIMIT",
     "split_missing_special", "prebin_numeric", "prebin_categorical",
     "PrebinTable", "build_prebin_table", "refine_prebins",
@@ -87,7 +85,7 @@ __all__ = [
     "build_binary", "build_continuous", "build_multiclass", "pvalue_pairs",
     "apply_pvalue_constraint", "check_trend", "concentration_penalty",
     "evaluate_partition",
-    "presolve_monotonic", "solve", "solve_peak_valley", "brute_force_oracle",
+    "presolve_monotonic", "solve", "brute_force_oracle",
     "DiagonalEncoding", "decode", "encode", "ls_objective", "ls_solve",
     "QualityReport", "c_star", "rayleigh_factor", "iv_label",
     "adjacent_pvalues", "quality_score", "assess",

@@ -20,7 +20,8 @@ and transform route records to table rows with ``preprocess.table_rows``;
 
 Exit codes: 0 success, 2 no feasible binning for the data and constraints
 (or, with ``--solver ls``, none found before the time budget ran out), 3 bad
-input (unreadable files, unknown columns, malformed values or flags).
+input (unreadable files, unknown columns, malformed values or flags, a
+continuous target whose sums are not finite).
 """
 
 from __future__ import annotations
@@ -490,13 +491,23 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     Raises InfeasibleError when no partition satisfies the constraints, and
     TimeBudgetError when the local search's budget ran out before it met a
     feasible one.  A negative or NaN budget, or ``max_pvalue`` on a target
-    that is not binary, is an InvalidConfigError.
+    that is not binary, is an InvalidConfigError.  A continuous target whose
+    sum of squares is not finite is an InputError: that sum bounds every bin
+    sum, mean and deviation the fit takes (a merge's squared deviations of
+    pre-bin means sum to at most its records' squares), so none overflows,
+    and a nan or inf value fails it too.
     """
     validate_config(cfg)
     _check_time_limit(time_budget)
     if cfg.max_pvalue is not None and not target_kind.is_binary:
         raise InvalidConfigError(["--max-pvalue applies to binary targets "
                                   "only, not {}".format(target_kind.kind)])
+    if target_kind.is_continuous:
+        y = np.asarray(target, dtype=float)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(float(np.dot(y, y))):
+                raise InputError("continuous target values must be finite "
+                                 "and their sums must not overflow")
     if dtype != NUMERIC:        # a label keeps its type: 1 is "1", not "1.0"
         values = np.asarray(values, dtype=object)
     (xc, yc), (xs, ys_special), (xm, ys_missing) = \
@@ -592,8 +603,8 @@ def _bin_labels(model: BinningModel) -> list:
     if model.dtype != NUMERIC:
         return ["[{}]".format(", ".join(g)) for g in model.groups]
     edges = [float("-inf"), *model.splits, float("inf")]
-    return ["{}, {}".format("(-inf" if math.isinf(lo) else "[{:g}".format(lo),
-                            "inf)" if math.isinf(hi) else "{:g})".format(hi))
+    return ["{}, {}".format("(-inf" if lo == -math.inf else "[{:g}".format(lo),
+                            "inf)" if hi == math.inf else "{:g})".format(hi))
             for lo, hi in zip(edges, edges[1:])]
 
 
@@ -642,11 +653,6 @@ def transform_values(model: BinningModel, values, mode: str = "auto"):
         splits=model.splits if numeric else None,
         groups=None if numeric else model.groups, others=bool(model.others))
     return np.take(np.asarray(outputs), rows)
-
-
-def transform_value(model: BinningModel, v, mode: str):
-    """Map one raw value through the fitted binning."""
-    return transform_values(model, [v], mode).tolist()[0]
 
 
 # --------------------------------------------------------------------------- #

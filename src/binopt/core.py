@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 
 
 # --------------------------------------------------------------------------- #
@@ -328,7 +328,7 @@ class Solution:
     """A solved partition of the pre-bins into contiguous intervals.
 
     ``intervals`` is an ordered tuple of (start, end) inclusive 0-based pre-bin
-    pairs partitioning 0..n_prebins-1.  Empty unless feasible.  ``objective``
+    pairs partitioning the pre-bins.  Empty unless feasible.  ``objective``
     includes the concentration term when one is configured.
     ``change_point``, for one peak/valley on a binary or continuous target,
     is the pin, or else the first pre-bin of the partition's first change
@@ -340,7 +340,6 @@ class Solution:
     objective: float = float("nan")
     trend_used: TrendSpec | tuple = TrendSpec()
     change_point: int | None = None
-    n_prebins: int = 0
 
     @property
     def n_bins(self) -> int:
@@ -349,24 +348,6 @@ class Solution:
     @property
     def is_feasible(self) -> bool:
         return self.status in (OPTIMAL, FEASIBLE)
-
-    def check_partition(self) -> None:
-        """Assert the structural invariant: contiguous cover of 0..n-1."""
-        if not self.is_feasible:
-            if self.intervals:
-                raise AssertionError("{} solution carries intervals".format(
-                    self.status))
-            return
-        if not self.intervals:
-            raise AssertionError("feasible solution without intervals")
-        if self.intervals[0][0] != 0 or self.intervals[-1][1] != self.n_prebins - 1:
-            raise AssertionError("intervals do not cover 0..n-1")
-        for (s1, e1), (s2, e2) in zip(self.intervals, self.intervals[1:]):
-            if e1 + 1 != s2:
-                raise AssertionError("intervals not contiguous at {}..{}".format(e1, s2))
-        for s, e in self.intervals:
-            if s > e:
-                raise AssertionError("empty interval ({}, {})".format(s, e))
 
 
 # --------------------------------------------------------------------------- #
@@ -562,7 +543,3 @@ class BinningModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("malformed model file: {}".format(exc)) from exc
 
-
-def with_trend(config: BinningConfig, trend) -> BinningConfig:
-    """Copy of ``config`` with a different trend (convenience for sub-solves)."""
-    return replace(config, trend=trend)

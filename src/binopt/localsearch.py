@@ -42,6 +42,10 @@ from .solver import (
     _search_count, _tables, _violated_groups,
 )
 
+# starts per search (``_descend``): the all-singletons and single-bin
+# encodings, then random ones
+RESTARTS = 12
+
 
 @dataclass(frozen=True)
 class DiagonalEncoding:
@@ -238,8 +242,7 @@ def _check_time_limit(time_limit: float | None) -> None:
 
 def ls_solve(agg: AggregateSet, cfg: BinningConfig,
              pairs: PValuePairs | None = None, *,
-             seed: int = 0, restarts: int = 12,
-             time_limit: float | None = None) -> Solution:
+             seed: int = 0, time_limit: float | None = None) -> Solution:
     """Steepest-descent local search with random restarts.
 
     Starts from the all-singletons and single-bin encodings, then from random
@@ -269,13 +272,13 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
             now = time.monotonic()
             cap = now + (deadline - now) / left
         left -= 1
-        return _descend(sub_agg, sub_cfg, sub_pairs, seed, restarts, cap)
+        return _descend(sub_agg, sub_cfg, sub_pairs, seed, cap)
 
     return _resolve(agg, cfg, pairs, search)
 
 
 def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
-             seed: int, restarts: int, deadline: float | None) -> Solution:
+             seed: int, deadline: float | None) -> Solution:
     """The local search for concrete trends, stopping at ``deadline``.
 
     Each step scores every neighbour with ``_neighbours`` and builds the
@@ -308,7 +311,7 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
 
     best = None          # (score_key, n_bins, intervals, gain)
     cut = False
-    for k in range(max(1, restarts)):
+    for k in range(RESTARTS):
         if out_of_time():
             cut = True
             break
@@ -335,7 +338,7 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
 
     if best is None:
         return Solution(status=TIME_LIMIT if cut else INFEASIBLE,
-                        trend_used=cfg.trend, n_prebins=n)
+                        trend_used=cfg.trend)
     _, _, intervals, gain = best
     feasible, recheck = evaluate_partition(intervals, agg, cfg, pairs)
     if not feasible or recheck != _in_units(agg, gain):
@@ -343,4 +346,4 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
             "local search returned a partition failing its own recheck: {} "
             "gain={} recheck=({}, {})".format(intervals, gain, feasible, recheck))
     return Solution(status=FEASIBLE, intervals=intervals, objective=gain,
-                    trend_used=cfg.trend, n_prebins=n)
+                    trend_used=cfg.trend)

@@ -14,7 +14,7 @@ floor, empty pre-bins and refinement pick its runs in one greedy pass
 
 Numeric intervals are half-open: with splits s0 < s1 < ... the pre-bins are
 (-inf, s0), [s0, s1), ..., [s_last, inf); a value equal to a split falls in the
-bin to the split's right.
+bin to the split's right, and an infinite value in an end bin.
 """
 
 from __future__ import annotations
@@ -116,11 +116,12 @@ def split_missing_special(values, target, special_values=()):
 def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05):
     """Equal-frequency pre-binning of a clean numeric column.
 
-    Returns the ascending tuple of interior split points.  Pre-bins under
-    the quantile candidates that are empty (massive ties) or undersized
-    (< prebin_min_frac of records) are merged rightward (the last one
-    leftward) until every pre-bin is large enough.  At most ``prebin_count``
-    pre-bins result, each holding at least one record.
+    Returns the ascending tuple of interior split points.  The quantile
+    candidates come from the finite values, so an infinite value falls in an
+    end pre-bin.  Pre-bins under the candidates that are empty (massive
+    ties) or undersized (< prebin_min_frac of records) are merged rightward
+    (the last one leftward) until every pre-bin is large enough.  At most
+    ``prebin_count`` pre-bins result, each holding at least one record.
     """
     x = np.asarray(values, dtype=float)
     if x.size == 0:
@@ -131,8 +132,11 @@ def prebin_numeric(values, prebin_count: int = 20, prebin_min_frac: float = 0.05
     if prebin_count <= 1:
         return ()
 
+    finite = x[np.isfinite(x)]
+    if not finite.size:
+        return ()
     splits = np.unique(
-        np.quantile(x, np.linspace(0.0, 1.0, prebin_count + 1)[1:-1]))
+        np.quantile(finite, np.linspace(0.0, 1.0, prebin_count + 1)[1:-1]))
     min_count = max(1, math.ceil(prebin_min_frac * x.size))
     counts = np.bincount(table_rows(x, splits=splits),
                          minlength=splits.size + 1)

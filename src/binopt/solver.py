@@ -55,7 +55,6 @@ from .core import (
     TREND_NONE, ASCENDING, DESCENDING, CONCAVE, CONVEX, PEAK, VALLEY, AUTO,
     CONC_OFF, CONC_STD, CONC_HHI, CONC_MAXMIN,
     OPTIMAL, INFEASIBLE, TIME_LIMIT,
-    with_trend,
 )
 from .aggregate import AggregateSet, PValuePairs
 
@@ -795,7 +794,7 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
     hit = _branch_and_bound(agg, cfg, pairs, trends,
                             _interval_ok(agg, cfg, forbidden))
     if hit is None:
-        return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=agg.n)
+        return Solution(status=INFEASIBLE, trend_used=cfg.trend)
     intervals, gain = hit
     feas, recheck = evaluate_partition(intervals, agg, cfg, pairs)
     if not feas or recheck != _in_units(agg, gain):
@@ -803,7 +802,7 @@ def _exact_search(agg: AggregateSet, cfg: BinningConfig,
             "solver returned a partition failing its own recheck: {} gain={} "
             "recheck=({}, {})".format(intervals, gain, feas, recheck))
     return Solution(status=OPTIMAL, intervals=intervals, objective=gain,
-                    trend_used=cfg.trend, n_prebins=agg.n)
+                    trend_used=cfg.trend)
 
 
 # --------------------------------------------------------------------------- #
@@ -820,7 +819,7 @@ def _pick(solutions):
                key=lambda sol: (-sol.objective, sol.n_bins), default=None)
 
 
-def _auto_pick(solve_one, n_prebins: int) -> Solution:
+def _auto_pick(solve_one) -> Solution:
     """The automatic-trend rule over a base solver that returns gains.
 
     Solves descending/ascending and peak/valley; the peak/valley winner is
@@ -838,7 +837,7 @@ def _auto_pick(solve_one, n_prebins: int) -> Solution:
     if mono is None and bent is None:
         timed_out = any(sol.status == TIME_LIMIT for sol in sols)
         return Solution(status=TIME_LIMIT if timed_out else INFEASIBLE,
-                        trend_used=TrendSpec(AUTO), n_prebins=n_prebins)
+                        trend_used=TrendSpec(AUTO))
     if bent is None:
         return mono
     if mono is None:
@@ -902,14 +901,14 @@ def _resolve(agg: AggregateSet, cfg: BinningConfig,
         if tr.kind != AUTO:
             continue
         view = _class_view(agg, c) if multi else agg
-        won = _auto_pick(lambda t: search(view, with_trend(cfg, t), pairs), n)
+        won = _auto_pick(lambda t: search(view, replace(cfg, trend=t), pairs))
         if not multi:
             return _finish(won, agg, cfg.min_diff)
         if not won.is_feasible:
-            return Solution(status=won.status, trend_used=cfg.trend, n_prebins=n)
+            return Solution(status=won.status, trend_used=cfg.trend)
         trends[c] = won.trend_used
     if multi:
-        cfg = with_trend(cfg, tuple(trends))
+        cfg = replace(cfg, trend=tuple(trends))
     return _finish(search(agg, cfg, pairs), agg, cfg.min_diff)
 
 
@@ -923,7 +922,7 @@ def _search_count(agg: AggregateSet, cfg: BinningConfig) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# public solve entry points
+# public solve entry point
 # --------------------------------------------------------------------------- #
 
 def solve(agg: AggregateSet, cfg: BinningConfig,
@@ -940,16 +939,6 @@ def solve(agg: AggregateSet, cfg: BinningConfig,
     validate_config(cfg)
     return _resolve(agg, cfg, pairs,
                     partial(_exact_search, use_presolve=use_presolve))
-
-
-def solve_peak_valley(agg: AggregateSet, cfg: BinningConfig,
-                      pairs: PValuePairs | None = None) -> Solution:
-    """``solve`` for a config whose trend must be one peak or valley."""
-    if not isinstance(cfg.trend, TrendSpec) or cfg.trend.kind not in (PEAK, VALLEY):
-        raise InvalidConfigError(
-            ["solve_peak_valley needs a peak or valley trend; got {!r}"
-             .format(cfg.trend)])
-    return solve(agg, cfg, pairs)
 
 
 # --------------------------------------------------------------------------- #
@@ -985,10 +974,10 @@ def _enumerate(agg: AggregateSet, cfg: BinningConfig,
         if best is None or key < best[0]:
             best = (key, gain, intervals)
     if best is None:
-        return Solution(status=INFEASIBLE, trend_used=cfg.trend, n_prebins=n)
+        return Solution(status=INFEASIBLE, trend_used=cfg.trend)
     _, gain, intervals = best
     return Solution(status=OPTIMAL, intervals=intervals, objective=gain,
-                    trend_used=cfg.trend, n_prebins=n)
+                    trend_used=cfg.trend)
 
 
 def brute_force_oracle(agg: AggregateSet, cfg: BinningConfig,

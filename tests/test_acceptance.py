@@ -12,6 +12,7 @@ constraints.
 import math
 import time
 from collections import Counter, namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ import pytest
 from binopt import (
     BinningConfig, TrendSpec,
     apply_pvalue_constraint, brute_force_oracle, c_star, check_trend,
-    concentration_penalty, decode, divergence_contrib, encode, iv_label,
-    ls_solve, quality_score, rayleigh_factor, solve, solve_peak_valley,
-    with_trend, woe,
+    concentration_penalty, decode, divergence_contrib, encode,
+    evaluate_partition, iv_label, ls_solve, quality_score, rayleigh_factor,
+    solve, woe,
 )
 from binopt import cli
 
@@ -207,10 +208,10 @@ def test_a5_peak_valley_equivalence(corpus):
         if kind in ("peak", "valley") and r.cfg.trend.change_point is None:
             configs.append(r.cfg)
         elif kind not in ("peak", "valley") and idx % 8 == 0:
-            configs.append(with_trend(r.cfg, TrendSpec("peak")))
-            configs.append(with_trend(r.cfg, TrendSpec("valley")))
+            configs.append(replace(r.cfg, trend=TrendSpec("peak")))
+            configs.append(replace(r.cfg, trend=TrendSpec("valley")))
         for cfg in configs:
-            got = solve_peak_valley(r.agg, cfg, r.pairs)
+            got = solve(r.agg, cfg, r.pairs)
             want = _independent_best(r.agg, cfg, r.pairs, cfg.trend)
             if want is None:
                 assert not got.is_feasible, (r.family, cfg)
@@ -246,8 +247,9 @@ def _pin_respected(intervals, rates, trend, beta):
 
 
 def _verify_solution(sol, agg, cfg, pairs):
-    sol.check_partition()
     intervals = sol.intervals
+    assert evaluate_partition(intervals, agg,
+                              replace(cfg, trend=sol.trend_used), pairs)[0]
     m = len(intervals)
     n = agg.n
     assert cfg.min_bins <= m <= (cfg.max_bins if cfg.max_bins is not None else n)

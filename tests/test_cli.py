@@ -423,6 +423,38 @@ class TestFitExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_continuous_target_whose_sums_overflow_is_3(self, tmp_path,
+                                                         capsys):
+        # every value is finite, but sixty of them sum past the largest double
+        path = tmp_path / "big.csv"
+        path.write_text("x,y\n" + "".join("{},1e308\n".format(i)
+                                          for i in range(60)))
+        code, _, err = run(capsys, [
+            "fit", "--data", str(path), "--variable", "x", "--target", "y",
+            "--target-kind", "continuous"])
+        assert code == 3
+        assert "sums must not overflow" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_variable_values_fall_in_the_end_bins(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "inf.csv"
+        xs = ["1", "2", "3", "inf", "inf", "inf", "-inf", "4", "5", "6"]
+        path.write_text("x,y\n" + "".join("{},{}\n".format(x, i % 2)
+                                          for i, x in enumerate(xs)))
+        model_path = tmp_path / "m.json"
+        code, out, err = run(capsys, [
+            "fit", "--data", str(path), "--variable", "x", "--target", "y",
+            "--model", str(model_path)])
+        assert code == 0, err
+        model = BinningModel.from_json(model_path.read_text())
+        assert all(math.isfinite(s) for s in model.splits)
+        rows = cli.transform_values(model, [-math.inf, math.inf], "index")
+        assert rows.tolist() == [0, len(model.splits)]
+        assert "(-inf, inf)" not in out
+
     def test_short_row_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("x,y\n1.5,0\n\n2.5,1\n3.5\n4.5,1\n")
@@ -888,30 +920,30 @@ def reference_model():
 class TestTransformValue:
     def test_interior_lookup(self):
         model = reference_model()
-        assert cli.transform_value(model, 100.0, "woe") == 0.361296
-        assert cli.transform_value(model, 60.0, "woe") == -0.278357
+        assert cli.transform_values(model, [100.0], "woe")[0] == 0.361296
+        assert cli.transform_values(model, [60.0], "woe")[0] == -0.278357
 
     def test_below_and_above_range(self):
         model = reference_model()
-        assert cli.transform_value(model, 18.0, "woe") == -1.41513
-        assert cli.transform_value(model, 500.0, "woe") == 0.696341
+        assert cli.transform_values(model, [18.0], "woe")[0] == -1.41513
+        assert cli.transform_values(model, [500.0], "woe")[0] == 0.696341
 
     def test_boundary_goes_right(self):
         model = reference_model()
-        assert cli.transform_value(model, 30.5, "woe") == -0.907752
+        assert cli.transform_values(model, [30.5], "woe")[0] == -0.907752
 
     def test_special_and_missing(self):
         model = reference_model()
-        assert cli.transform_value(model, -9.0, "woe") == -0.106328
-        assert cli.transform_value(model, None, "woe") == 0.112319
-        assert cli.transform_value(model, float("nan"), "woe") == 0.112319
+        assert cli.transform_values(model, [-9.0], "woe")[0] == -0.106328
+        assert cli.transform_values(model, [None], "woe")[0] == 0.112319
+        assert cli.transform_values(model, [math.nan], "woe")[0] == 0.112319
 
     def test_index_mode_numbers_table_rows(self):
         model = reference_model()
-        assert cli.transform_value(model, 100.0, "index") == 7
-        assert cli.transform_value(model, 18.0, "index") == 0
-        assert cli.transform_value(model, -9.0, "index") == 10
-        assert cli.transform_value(model, None, "index") == 11
+        assert cli.transform_values(model, [100.0], "index")[0] == 7
+        assert cli.transform_values(model, [18.0], "index")[0] == 0
+        assert cli.transform_values(model, [-9.0], "index")[0] == 10
+        assert cli.transform_values(model, [None], "index")[0] == 11
 
     def test_categorical_groups_and_others(self):
         model = BinningModel(
@@ -922,12 +954,12 @@ class TestTransformValue:
             transform_values=(0.8, 0.1, -0.7),
             others_value=0.05, special_value=0.0, missing_value=0.2,
             trend_used="ascending", config=BinningConfig())
-        assert cli.transform_value(model, "family", "woe") == 0.1
-        assert cli.transform_value(model, "rent", "index") == 2
+        assert cli.transform_values(model, ["family"], "woe")[0] == 0.1
+        assert cli.transform_values(model, ["rent"], "index")[0] == 2
         # unseen category routes to the pool when one exists
-        assert cli.transform_value(model, "igloo", "woe") == 0.05
-        assert cli.transform_value(model, "igloo", "index") == 3
-        assert cli.transform_value(model, None, "index") == 5
+        assert cli.transform_values(model, ["igloo"], "woe")[0] == 0.05
+        assert cli.transform_values(model, ["igloo"], "index")[0] == 3
+        assert cli.transform_values(model, [None], "index")[0] == 5
 
     def test_unknown_category_without_pool_raises(self):
         model = BinningModel(
@@ -936,7 +968,7 @@ class TestTransformValue:
             groups=(("own",), ("rent",)), transform_values=(0.5, -0.5),
             trend_used="none", config=BinningConfig())
         with pytest.raises(InputError):
-            cli.transform_value(model, "igloo", "woe")
+            cli.transform_values(model, ["igloo"], "woe")[0]
 
     def test_mode_restrictions(self):
         model = reference_model()
@@ -955,12 +987,12 @@ class TestTransformValue:
         for special, value in ((-0.0, 0.0), (0.0, -0.0)):
             model = replace(reference_model(),
                             config=BinningConfig(special_values=(special,)))
-            assert cli.transform_value(model, value, "index") == 10
+            assert cli.transform_values(model, [value], "index")[0] == 10
 
     def test_nan_special_still_routes_to_missing(self):
         model = replace(reference_model(),
                         config=BinningConfig(special_values=(float("nan"),)))
-        assert cli.transform_value(model, float("nan"), "index") == 11
+        assert cli.transform_values(model, [float("nan")], "index")[0] == 11
 
     def test_first_unknown_category_in_row_order_names_the_error(self):
         model = BinningModel(
@@ -1037,7 +1069,7 @@ class TestTransformCommand:
         lines = out.strip().split("\n")
         assert len(lines) == 4
         assert lines[0] == "{:.6f}".format(
-            cli.transform_value(model, 25.0, "woe"))
+            cli.transform_values(model, [25.0], "woe")[0])
         assert lines[2] == "{:.6f}".format(model.missing_value)
         assert lines[3] == "{:.6f}".format(model.special_value)
 
@@ -1269,6 +1301,31 @@ def test_numeric_labels_fit_and_transform_as_categories(as_array):
     rows = cli.transform_values(model, values, "index")
     counts = [b.count for b in model.bins]
     assert np.bincount(rows, minlength=len(counts)).tolist() == counts
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+def test_library_fit_rejects_a_continuous_target_with_non_finite_sums(bad):
+    """``_fit`` applies the CLI's rule for continuous targets to library
+    callers: a nan or inf value, or values whose sums overflow, are an
+    InputError before any aggregate is built."""
+    rng = np.random.default_rng(0)
+    values, target = rng.normal(size=300), rng.normal(size=300)
+    if bad == "overflow":
+        target[:] = 1e308
+    else:
+        target[5] = float(bad)
+    with pytest.raises(InputError, match="sums must not overflow"):
+        cli._fit(values, target, TargetKind.continuous(), BinningConfig(),
+                 "x", "numeric")
+
+
+def test_a_split_at_inf_labels_its_bin_from_inf():
+    model = BinningModel(
+        variable="x", dtype="numeric", target_kind=TargetKind.continuous(),
+        splits=(1.0, math.inf), transform_values=(0.0, 1.0, 2.0),
+        trend_used="none", config=BinningConfig())
+    assert cli._bin_labels(model) == ["(-inf, 1)", "[1, inf)", "[inf, inf)"]
 
 
 # --------------------------------------------------------------------------- #

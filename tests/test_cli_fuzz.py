@@ -1,19 +1,21 @@
 """Small random CSVs through ``cli.main``: every call must end in exit code
-0, 2 or 3 and never raise.
+0, 2 or 3 and never raise or warn.
 
 Each file has at most 60 rows and at most 12 distinct values per column, so
 every solve stays small.  Columns mix numbers with odd tokens (``nan``,
-``inf``, empty cells, ``NA``, text), and the flags cover every target kind
-and ``--dtype``, the trends none, auto, peak and concave, and the ``hhi`` and
-``maxmin`` concentration penalties.  The ``std`` penalty is left out: its
-solves have no time bound.  A fit that writes a model is transformed too.
+``inf``, ``1e308``, empty cells, ``NA``, text), and the flags cover every
+target kind and ``--dtype``, the trends none, auto, peak and concave, and the
+``hhi`` and ``maxmin`` concentration penalties.  The ``std`` penalty is left
+out: its solves have no time bound.  A fit that writes a model is transformed
+too.
 """
 
 import numpy as np
+import pytest
 
 from binopt import cli
 
-ODD = ("nan", "inf", "-inf", "", "NA", "abc", " 2 ", "1e3")
+ODD = ("nan", "inf", "-inf", "1e308", "", "NA", "abc", " 2 ", "1e3")
 WORDS = ("own", "rent", "a b", "é", "0", "1", "-9")
 TARGETS = {
     "binary": ("0", "1"),
@@ -61,6 +63,7 @@ def _flags(rng, kind: str) -> list:
     return flags
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_small_random_csvs_exit_0_2_or_3(tmp_path, capsys):
     rng = np.random.default_rng(2026)
     codes = []

@@ -5,7 +5,7 @@ import pytest
 
 from binopt import (
     BinningConfig, BinningModel, BinStats, InvalidConfigError, Solution,
-    TargetKind, TrendSpec, validate_config, with_trend,
+    TargetKind, TrendSpec, validate_config,
 )
 
 
@@ -67,29 +67,6 @@ def test_validate_config_accepts_defaults():
     cfg = BinningConfig(trend=(TrendSpec("ascending"), TrendSpec("auto"),
                                TrendSpec("peak", 1)))
     validate_config(cfg)
-
-
-def test_with_trend_replaces_only_trend():
-    cfg = BinningConfig(min_bins=3, gamma=0.5)
-    out = with_trend(cfg, TrendSpec("descending"))
-    assert out.trend == TrendSpec("descending")
-    assert out.min_bins == 3 and out.gamma == 0.5
-
-
-def test_solution_partition_invariants():
-    good = Solution(status="optimal", intervals=((0, 1), (2, 4)),
-                    objective=1.0, n_prebins=5)
-    good.check_partition()
-    with pytest.raises(AssertionError):
-        Solution(status="optimal", intervals=((0, 1), (3, 4)),
-                 n_prebins=5).check_partition()   # gap at 2
-    with pytest.raises(AssertionError):
-        Solution(status="optimal", intervals=((0, 3),),
-                 n_prebins=5).check_partition()   # does not reach the end
-    with pytest.raises(AssertionError):
-        Solution(status="infeasible", intervals=((0, 4),),
-                 n_prebins=5).check_partition()
-    Solution(status="infeasible", n_prebins=5).check_partition()
 
 
 def test_solution_flags():

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from binopt import (
     INFEASIBLE, TIME_LIMIT, BinningConfig, InvalidConfigError,
     MalformedEncodingError, TrendSpec,
     apply_pvalue_constraint, check_trend, decode, encode, evaluate_partition,
-    localsearch, ls_objective, ls_solve, pvalue_pairs, solve, with_trend,
+    localsearch, ls_objective, ls_solve, pvalue_pairs, solve,
 )
 from binopt.localsearch import _neighbours
 from binopt.solver import _tables, _violated_groups
@@ -127,7 +128,7 @@ class TestLsSolve:
             # score against the trend LS actually settled on (auto instances
             # report the concrete winner in trend_used)
             feas, obj = evaluate_partition(ls.intervals, agg,
-                                           with_trend(cfg, ls.trend_used),
+                                           replace(cfg, trend=ls.trend_used),
                                            pairs)
             assert feas and obj == ls.objective
             if agg.target.is_continuous:
@@ -181,13 +182,13 @@ class TestLsSolve:
         assert sol.trend_used.kind in ("ascending", "descending",
                                        "peak", "valley")
 
-    def test_time_limit_returns_promptly(self):
-        import time
+    def test_time_limit_returns_promptly(self, monkeypatch):
+        monkeypatch.setattr(localsearch, "RESTARTS", 10_000)
         rng = np.random.default_rng(44)
         agg = binary_agg(rng.integers(1, 30, 12), rng.integers(1, 30, 12))
         cfg = BinningConfig(min_bins=2, trend=TrendSpec("peak"))
         t0 = time.monotonic()
-        sol = ls_solve(agg, cfg, seed=0, restarts=10_000, time_limit=0.05)
+        sol = ls_solve(agg, cfg, seed=0, time_limit=0.05)
         assert time.monotonic() - t0 < 2.0
         assert sol.status in ("feasible", "infeasible", "time_limit")
 
@@ -208,7 +209,6 @@ class TestLsSolve:
         assert sol.status == TIME_LIMIT
         assert not sol.is_feasible and sol.intervals == ()
         assert sol.trend_used == cfg.trend
-        sol.check_partition()
         assert solve(agg, cfg).is_feasible
 
     def test_search_that_ran_to_its_end_stays_infeasible(self):
@@ -421,7 +421,7 @@ def _wide_instance(rng, i):
     return agg, cfg, pairs
 
 
-def test_neighbour_keys_match_whole_partition_scoring():
+def test_neighbour_keys_match_whole_partition_scoring(monkeypatch):
     # small instances of every target kind, trend family and constraint mix
     # at random partitions
     rng = np.random.default_rng(78)
@@ -441,12 +441,13 @@ def test_neighbour_keys_match_whole_partition_scoring():
     # wide tables, at partitions whose prefix breaks the trend (random
     # ones), at feasible local optima, and at those with one bit flipped,
     # where a move's gate states meet the partition's again
+    monkeypatch.setattr(localsearch, "RESTARTS", 2)
     wide_feasible = 0
     for i in range(150):
         agg, cfg, pairs = _wide_instance(rng, i)
         x = [*(rng.random(agg.n - 1) < rng.random() / 2).astype(int), 1]
         starts = [decode(x).intervals]
-        sol = ls_solve(agg, cfg, pairs, seed=i, restarts=2)
+        sol = ls_solve(agg, cfg, pairs, seed=i)
         if sol.is_feasible:
             wide_feasible += 1
             starts.append(sol.intervals)

@@ -6,6 +6,7 @@ from binopt import (
     build_prebin_table, prebin_categorical, prebin_numeric,
     refine_prebins, refine_prebins_multiclass, split_missing_special,
 )
+from binopt.preprocess import table_rows
 
 
 class TestSplitRouting:
@@ -124,6 +125,19 @@ class TestPrebinNumeric:
             prebin_numeric([5.0] * 50)
         with pytest.raises(DegenerateColumnError):
             prebin_numeric([])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_values_fall_in_the_end_prebins(self):
+        # three inf and one -inf: the candidates come from the six finite
+        # values, and table_rows puts each infinite one in an end pre-bin
+        inf = float("inf")
+        x = [1.0, 2.0, 3.0, inf, inf, inf, -inf, 4.0, 5.0, 6.0]
+        splits = prebin_numeric(x)
+        assert splits == (1.25, 2.25, 3.25, 4.25, 5.25)
+        assert splits == prebin_numeric([v for v in x if abs(v) < inf])
+        rows = table_rows([-inf, inf], splits=splits)
+        assert rows.tolist() == [0, len(splits)]
+        assert prebin_numeric([inf, -inf, inf]) == ()
 
     def test_two_distinct_values(self):
         splits = prebin_numeric([0.0] * 30 + [1.0] * 30, prebin_count=20,

@@ -10,7 +10,7 @@ from binopt import (
     AggregateSet, BinningConfig, InvalidConfigError, TargetKind, TrendSpec,
     apply_pvalue_constraint, brute_force_oracle, check_trend,
     concentration_penalty, evaluate_partition, presolve_monotonic,
-    Solution, ls_solve, pvalue_pairs, solve, solve_peak_valley, with_trend,
+    Solution, ls_solve, pvalue_pairs, solve,
 )
 from binopt.solver import (
     AUTO_MARGIN, EPS, _PHASE_BITS, _completion_bound, _interval_ok,
@@ -455,7 +455,7 @@ class TestCompletionBound:
             if not ref.is_feasible:
                 continue
             # auto is bounded through the trend it resolved to
-            trends = _resolved_trends(agg, with_trend(cfg, ref.trend_used))
+            trends = _resolved_trends(agg, replace(cfg, trend=ref.trend_used))
             root = _root_bound(agg, cfg, pairs, trends)
             # HHI is folded in with another summation order: allow rounding
             slack = 1e-12 * max(1.0, abs(ref.objective))
@@ -622,7 +622,7 @@ class TestPeakValley:
     def test_free_peak_finds_best_change_point(self):
         agg = binary_agg([8, 2, 8], [2, 8, 2])   # rates 0.2, 0.8, 0.2
         cfg = BinningConfig(min_bins=1, trend=TrendSpec("peak"))
-        sol = solve_peak_valley(agg, cfg)
+        sol = solve(agg, cfg)
         assert sol.status == "optimal"
         assert sol.n_bins == 3
         assert sol.change_point == 1
@@ -648,11 +648,11 @@ class TestPeakValley:
             assert got.intervals == ref.intervals, i
             assert got.objective == ref.objective, i
             if got.is_feasible:
-                pinned = solve(agg, with_trend(
-                    cfg, TrendSpec(kind, got.change_point)))
+                pinned = solve(agg, replace(
+                    cfg, trend=TrendSpec(kind, got.change_point)))
                 assert pinned.intervals == got.intervals, i
                 assert pinned.objective == got.objective, i
-                smaller = [with_trend(cfg, TrendSpec(kind, t))
+                smaller = [replace(cfg, trend=TrendSpec(kind, t))
                            for t in range(got.change_point)]
                 assert not any(evaluate_partition(got.intervals, agg, c)[0]
                                for c in smaller), i
@@ -661,8 +661,8 @@ class TestPeakValley:
         agg = binary_agg([8, 2, 8], [2, 8, 2])
         pinned = BinningConfig(min_bins=1, trend=TrendSpec("peak", 0))
         free = BinningConfig(min_bins=1, trend=TrendSpec("peak"))
-        a = solve_peak_valley(agg, pinned)
-        b = solve_peak_valley(agg, free)
+        a = solve(agg, pinned)
+        b = solve(agg, free)
         assert a.objective <= b.objective
         ref = brute_force_oracle(agg, pinned)
         assert a.objective == ref.objective and a.intervals == ref.intervals
@@ -684,7 +684,7 @@ class TestPeakValley:
         agg = binary_agg([3, 1], [1, 3])
         cfg = BinningConfig(trend=TrendSpec("valley", 7))
         with pytest.raises(InvalidConfigError):
-            solve_peak_valley(agg, cfg)
+            solve(agg, cfg)
         # every solver, and every rate matrix of a multi-class target: a pin
         # at the pre-bin count is one past the last pre-bin
         mc = multiclass_agg([[5, 1, 4, 2], [1, 5, 2, 4], [3, 3, 3, 3]])
@@ -705,22 +705,17 @@ class TestPeakValley:
         for _ in range(20):
             agg = multiclass_agg(rng.integers(1, 15, size=(3, 7)))
             cfg = BinningConfig(min_bins=1, trend=TrendSpec("valley"))
-            sol = solve_peak_valley(agg, cfg)
+            sol = solve(agg, cfg)
             ref = brute_force_oracle(agg, cfg)
             assert sol.status == ref.status
             assert sol.intervals == ref.intervals
             if sol.is_feasible:
                 assert sol.objective == ref.objective
 
-    def test_needs_peak_or_valley(self):
-        agg = binary_agg([3, 1], [1, 3])
-        with pytest.raises(InvalidConfigError):
-            solve_peak_valley(agg, BinningConfig(trend=TrendSpec("ascending")))
-
     def test_valley_on_continuous_means(self):
         agg = continuous_agg([2, 2, 2], [10.0, 2.0, 12.0])  # means 5, 1, 6
         cfg = BinningConfig(min_bins=3, trend=TrendSpec("valley"))
-        sol = solve_peak_valley(agg, cfg)
+        sol = solve(agg, cfg)
         assert sol.status == "optimal"
         assert sol.n_bins == 3 and sol.change_point == 1
 
@@ -757,7 +752,7 @@ class TestAutoTrend:
         minimize = agg.target.is_continuous
 
         def run(kind):
-            return solve(agg, with_trend(cfg, TrendSpec(kind)), pairs)
+            return solve(agg, replace(cfg, trend=TrendSpec(kind)), pairs)
 
         def better(a, b):
             if b is None or not b.is_feasible:
@@ -807,8 +802,7 @@ class TestAutoTrend:
     def test_candidate_ties_pick_fewer_bins_then_list_order(self):
         def sol(objective, m):
             return Solution(status="optimal", objective=objective,
-                            intervals=tuple((i, i) for i in range(m)),
-                            n_prebins=m)
+                            intervals=tuple((i, i) for i in range(m)))
 
         # a divergence is its own gain, a deviation enters negated
         for gain in (1.0, -1.0):
@@ -826,8 +820,8 @@ class TestAutoTrend:
         # does no better, so descending wins as listed first
         agg = continuous_agg([1, 1, 1], [3.0, 1.0, 3.0])
         cfg = BinningConfig(min_bins=1, max_bins=2, trend=TrendSpec("auto"))
-        asc = solve(agg, with_trend(cfg, TrendSpec("ascending")))
-        desc = solve(agg, with_trend(cfg, TrendSpec("descending")))
+        asc = solve(agg, replace(cfg, trend=TrendSpec("ascending")))
+        desc = solve(agg, replace(cfg, trend=TrendSpec("descending")))
         assert asc.objective == desc.objective == math.sqrt(2.0)
         assert asc.n_bins == desc.n_bins == 2
         for sol in (solve(agg, cfg), brute_force_oracle(agg, cfg),
