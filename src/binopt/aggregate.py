@@ -148,13 +148,13 @@ def _share_matrices(R_ne: TriMatrix, R_e: TriMatrix, R: TriMatrix,
     """Divergence and event-rate matrices (V, D) of a binary or one-vs-rest
     problem, filled over the lower triangle in row order."""
     n = R.shape[0]
-    rows, cols = np.tril_indices(n)
-    ne, ev = R_ne[rows, cols], R_e[rows, cols]
+    lower = np.tri(n, dtype=bool)
+    ne, ev = R_ne[lower], R_e[lower]
     V = np.zeros((n, n))
     D = np.zeros((n, n))
-    V[rows, cols] = divergence_contrib(ne / R_ne[n - 1, 0], ev / R_e[n - 1, 0],
-                                       divergence)
-    D[rows, cols] = ev / R[rows, cols]
+    V[lower] = divergence_contrib(ne / R_ne[n - 1, 0], ev / R_e[n - 1, 0],
+                                  divergence)
+    D[lower] = ev / R[lower]
     return V, D
 
 

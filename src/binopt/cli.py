@@ -495,19 +495,28 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     sum of squares is not finite is an InputError: that sum bounds every bin
     sum, mean and deviation the fit takes (a merge's squared deviations of
     pre-bin means sum to at most its records' squares), so none overflows,
-    and a nan or inf value fails it too.
+    and a nan or inf value fails it too.  So is a binary value outside
+    {0, 1} or a multi-class label outside the integers 0..K-1.
     """
     validate_config(cfg)
     _check_time_limit(time_budget)
     if cfg.max_pvalue is not None and not target_kind.is_binary:
         raise InvalidConfigError(["--max-pvalue applies to binary targets "
                                   "only, not {}".format(target_kind.kind)])
+    y = np.asarray(target, dtype=float)
     if target_kind.is_continuous:
-        y = np.asarray(target, dtype=float)
         with np.errstate(over="ignore"):
             if not math.isfinite(float(np.dot(y, y))):
                 raise InputError("continuous target values must be finite "
                                  "and their sums must not overflow")
+    else:
+        k = target_kind.n_classes if target_kind.is_multiclass else 2
+        bad = ~np.isin(y, np.arange(k))           # nan is in no class
+        if bad.any():
+            i = int(bad.argmax())
+            raise InputError("record {}: {} target must be an integer in "
+                             "0..{}; got {!r}".format(i + 1, target_kind.kind,
+                                                      k - 1, float(y[i])))
     if dtype != NUMERIC:        # a label keeps its type: 1 is "1", not "1.0"
         values = np.asarray(values, dtype=object)
     (xc, yc), (xs, ys_special), (xm, ys_missing) = \
@@ -546,7 +555,7 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     if solver_name == "ls":
         sol = ls_solve(agg, cfg, pairs, seed=seed, time_limit=time_budget)
     else:
-        sol = solve(agg, cfg, pairs, use_presolve=True)
+        sol = solve(agg, cfg, pairs)
     if sol.status == TIME_LIMIT:
         raise TimeBudgetError(
             "the time budget of {} s ran out before the local search found "

