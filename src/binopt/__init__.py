@@ -9,7 +9,6 @@ from .core import (
     InfeasibleError,
     TimeBudgetError,
     ZeroCountError,
-    MalformedEncodingError,
     InputError,
     TargetKind,
     TrendSpec,
@@ -51,13 +50,7 @@ from .solver import (
     solve,
     brute_force_oracle,
 )
-from .localsearch import (
-    DiagonalEncoding,
-    decode,
-    encode,
-    ls_objective,
-    ls_solve,
-)
+from .localsearch import ls_solve
 from .quality import (
     QualityReport,
     c_star,
@@ -73,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinoptError", "InvalidConfigError", "DegenerateColumnError",
     "InfeasibleError", "TimeBudgetError", "ZeroCountError",
-    "MalformedEncodingError",
     "InputError",
     "TargetKind", "TrendSpec", "BinningConfig", "validate_config",
     "Solution", "BinStats", "BinningModel",
@@ -86,7 +78,7 @@ __all__ = [
     "apply_pvalue_constraint", "check_trend", "concentration_penalty",
     "evaluate_partition",
     "presolve_monotonic", "solve", "brute_force_oracle",
-    "DiagonalEncoding", "decode", "encode", "ls_objective", "ls_solve",
+    "ls_solve",
     "QualityReport", "c_star", "rayleigh_factor", "iv_label",
     "adjacent_pvalues", "quality_score", "assess",
     "__version__",

@@ -33,6 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import TargetKind, ZeroCountError, DIV_IV, DIV_JSD
+# no code here reads refine_prebins_multiclass: bench/tracing.py wraps it on
+# this module, and tests/test_traced_names.py requires the name
 from .preprocess import PrebinTable, refine_prebins_multiclass
 
 # A TriMatrix is a plain (n, n) float array whose lower triangle (i >= j) is
@@ -202,11 +204,12 @@ def build_continuous(table: PrebinTable, norm_p: int = 2) -> AggregateSet:
 def build_multiclass(table: PrebinTable, divergence: str = DIV_IV) -> AggregateSet:
     """One-vs-rest matrices per class over a shared partition.
 
-    Applies the joint zero-count refinement first (a merge for one class
-    merges for all), then builds per-class divergence and event-rate matrices;
-    ``V`` holds their sum, which is the solver's objective matrix.
+    The table must be refined (``refine_prebins_multiclass``: >= 1 record of
+    each class and of the rest per pre-bin), which makes every merge's counts
+    positive and every entry well defined.  Builds per-class divergence and
+    event-rate matrices; ``V`` holds their sum, which is the solver's
+    objective matrix.
     """
-    table = refine_prebins_multiclass(table)
     n = table.n
     R = _merge_counts(np.asarray(table.count, dtype=float))
     class_V = []

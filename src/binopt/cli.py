@@ -39,7 +39,7 @@ import numpy as np
 from .core import (
     BinningConfig, BinStats, BinningModel, TargetKind, TrendSpec,
     InputError, InvalidConfigError, InfeasibleError, DegenerateColumnError,
-    ZeroCountError, BinoptError, MalformedEncodingError, TimeBudgetError,
+    ZeroCountError, BinoptError, TimeBudgetError,
     validate_config, DIV_IV, TIME_LIMIT,
 )
 from . import preprocess
@@ -548,14 +548,10 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
         cfg = replace(cfg, min_bin_size=int(math.ceil(0.05 * agg.n_records)))
         validate_config(cfg)
 
-    pairs = None
-    if cfg.max_pvalue is not None:
-        pairs = aggregate.pvalue_pairs(agg.R_ne, agg.R_e, cfg.max_pvalue)
-
     if solver_name == "ls":
-        sol = ls_solve(agg, cfg, pairs, seed=seed, time_limit=time_budget)
+        sol = ls_solve(agg, cfg, seed=seed, time_limit=time_budget)
     else:
-        sol = solve(agg, cfg, pairs)
+        sol = solve(agg, cfg)
     if sol.status == TIME_LIMIT:
         raise TimeBudgetError(
             "the time budget of {} s ran out before the local search found "
@@ -889,7 +885,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidConfigError, MalformedEncodingError) as exc:
+    except (InputError, InvalidConfigError) as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (InfeasibleError, DegenerateColumnError, ZeroCountError) as exc:

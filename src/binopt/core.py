@@ -48,10 +48,6 @@ class ZeroCountError(BinoptError):
     """A count that must be positive is zero (WoE/divergence undefined)."""
 
 
-class MalformedEncodingError(BinoptError):
-    """A local-search bit vector does not encode a valid partition."""
-
-
 class InputError(BinoptError):
     """Bad user input (CLI data, model files, unparseable values)."""
 
@@ -166,10 +162,6 @@ class TrendSpec:
                 ) from None
             return cls(kind, t)
         return cls(text)
-
-    @property
-    def is_monotonic(self) -> bool:
-        return self.kind in (ASCENDING, DESCENDING)
 
     def as_text(self) -> str:
         if self.change_point is not None:

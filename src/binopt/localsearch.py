@@ -1,16 +1,9 @@
-"""Bit-vector local search over partitions, for instances too big to solve exactly.
+"""Local search over partitions, for instances too big to solve exactly.
 
-A partition of n pre-bins is encoded as a 0/1 vector x of length n whose set
-bits mark the pre-bins that close a bin (the last bit is always set).  Two
-helper sequences are derived from x by linear recurrences:
+A partition is a tuple of contiguous ``(start, end)`` bins covering the
+pre-bins, as in every other search.
 
-- ``a[i]``: how many consecutive zeros end at position i (run length of open
-  pre-bins), a[i] = (a[i-1] + 1) * (1 - x[i]);
-- ``z[i]``: the width extension of the bin closing at i, z[i] =
-  a[i-1] * (1 - x[i-1]) * x[i], so a set bit at i closes the bin spanning
-  pre-bins (i - z[i]) .. i.
-
-The search is steepest descent over single-bit flips and boundary shifts with
+The search is steepest descent over splits, merges and boundary shifts with
 random restarts; it never claims optimality, and is deterministic for a fixed
 seed when no wall-clock cap cuts it short.  A move replaces one or two bins of
 the current partition X, and its neighbour gets the key the whole-partition
@@ -28,13 +21,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    BinningConfig, Solution, InvalidConfigError, MalformedEncodingError,
-    validate_config, _is_count, FEASIBLE, INFEASIBLE, TIME_LIMIT,
+    BinningConfig, Solution, InvalidConfigError, validate_config, _is_count,
+    FEASIBLE, INFEASIBLE, TIME_LIMIT,
 )
 from .aggregate import AggregateSet, PValuePairs
 from .solver import (
@@ -42,82 +34,18 @@ from .solver import (
     _search_count, _tables, _violated_groups,
 )
 
-# starts per search (``_descend``): the all-singletons and single-bin
-# encodings, then random ones
+# starts per search (``_descend``): all singletons, one bin, then random
+# partitions
 RESTARTS = 12
 
-
-@dataclass(frozen=True)
-class DiagonalEncoding:
-    """A validated encoding with its derived run lengths and intervals."""
-
-    x: tuple
-    a: tuple
-    z: tuple
-    intervals: tuple
-
-
-def decode(x) -> DiagonalEncoding:
-    """Expand a bit vector into run lengths, widths and explicit intervals.
-
-    Raises MalformedEncodingError unless every entry is 0/1 and the last
-    entry is 1 (the final pre-bin always closes a bin).
-    """
-    x = tuple(int(v) for v in x)
-    n = len(x)
-    if n == 0:
-        raise MalformedEncodingError("empty encoding")
-    if any(v not in (0, 1) for v in x):
-        raise MalformedEncodingError("encoding entries must be 0 or 1: {}".format(x))
-    if x[-1] != 1:
-        raise MalformedEncodingError("last encoding entry must be 1: {}".format(x))
-    a = []
-    z = []
-    prev_a = 0
-    prev_x = 0
-    intervals = []
-    for i, xi in enumerate(x):
-        zi = prev_a * (1 - prev_x) * xi
-        ai = (prev_a + 1) * (1 - xi)
-        a.append(ai)
-        z.append(zi)
-        if xi:
-            intervals.append((i - zi, i))
-        prev_a, prev_x = ai, xi
-    return DiagonalEncoding(x=x, a=tuple(a), z=tuple(z),
-                            intervals=tuple(intervals))
-
-
-def encode(intervals, n: int) -> tuple:
-    """Inverse of decode: set a bit at each interval end."""
-    x = [0] * n
-    for _, e in intervals:
-        x[e] = 1
-    return tuple(x)
-
-
-def ls_objective(x, agg: AggregateSet, cfg: BinningConfig,
-                 pairs: PValuePairs | None = None):
-    """Objective of an encoded partition, or None when infeasible."""
-    enc = decode(x)
-    if len(enc.x) != agg.n:
-        raise MalformedEncodingError(
-            "encoding length {} != {} pre-bins".format(len(enc.x), agg.n))
-    feasible, obj = evaluate_partition(enc.intervals, agg, cfg, pairs)
-    return obj if feasible else None
-
-
-# --------------------------------------------------------------------------- #
-# search
-# --------------------------------------------------------------------------- #
 
 def _moves(intervals: tuple):
     """The neighbours of a partition, as ``(i, drop, add)``: the bins
     ``intervals[i:i + drop]`` give way to the bins in ``add``.
 
-    The order is that of the bit vector's moves: a flip of each bit 0..n-2
-    (a split inside a bin, or at a bin's end a merge with the next bin),
-    then for each inner boundary a shift one pre-bin left, then right.
+    The order: for each bin, its splits with the first part growing, then
+    its merge with the next bin; then for each inner boundary a shift one
+    pre-bin left, then right.
     """
     last = len(intervals) - 1
     for i, (s, e) in enumerate(intervals):
@@ -245,8 +173,8 @@ def ls_solve(agg: AggregateSet, cfg: BinningConfig,
              seed: int = 0, time_limit: float | None = None) -> Solution:
     """Steepest-descent local search with random restarts.
 
-    Starts from the all-singletons and single-bin encodings, then from random
-    encodings with bin counts drawn inside the configured bounds.  Each
+    Starts from all singletons and from one bin, then from random
+    partitions with bin counts drawn inside the configured bounds.  Each
     restart walks to a local optimum of (feasibility, gain), moving only
     on strict improvement and at most 10 n times; the best feasible
     partition across restarts is returned with status FEASIBLE (never a
@@ -292,19 +220,17 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
     b_min = max(1, cfg.min_bins)
     b_max = min(n, cfg.max_bins if cfg.max_bins is not None else n)
 
-    def start(k: int) -> list:
+    def start(k: int) -> tuple:
         if k == 0:
-            return [1] * n
+            return tuple((i, i) for i in range(n))
         if k == 1:
-            return [0] * (n - 1) + [1]
+            return ((0, n - 1),)
         want = int(rng.integers(b_min, b_max + 1)) if b_max >= b_min else 1
-        x = [0] * n
-        x[-1] = 1
+        ends = []
         if want > 1 and n > 1:
-            ends = rng.choice(n - 1, size=min(want - 1, n - 1), replace=False)
-            for e in sorted(int(v) for v in ends):
-                x[e] = 1
-        return x
+            ends = sorted(int(e) for e in rng.choice(
+                n - 1, size=min(want - 1, n - 1), replace=False))
+        return tuple(zip([0] + [e + 1 for e in ends], ends + [n - 1]))
 
     def out_of_time():
         return deadline is not None and time.monotonic() > deadline
@@ -315,7 +241,7 @@ def _descend(agg: AggregateSet, cfg: BinningConfig, pairs: PValuePairs | None,
         if out_of_time():
             cut = True
             break
-        intervals = decode(start(k)).intervals
+        intervals = start(k)
         bad_bins = sum(tab.bad[e][s] for s, e in intervals)
         key, gain = _score(intervals, tab)
         for _ in range(10 * n):

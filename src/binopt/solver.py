@@ -26,9 +26,10 @@ the oracle's ``check_trend``, presolve, the completion bound and the search's
 per-bin gates all compare rates through it.
 
 Every search reads one context (``_tables``): the bins the count bounds
-allow and each bin's gain, rate and record count, built once per aggregate
-set or set of bound values.  No presolve runs on the search path, as the
-completion bound's adjacent-bin checks rule out every bin it would mask.
+allow, each bin's gain, rate and record count, and the p-value masks, built
+once per aggregate set, set of bound values or level.  No presolve runs on
+the search path, as the completion bound's adjacent-bin checks rule out every
+bin it would mask.
 
 The search is a depth-first branch and bound over "next interval" choices that
 checks each trend bin by bin as the path grows; a free peak/valley turns at
@@ -61,6 +62,7 @@ from .core import (
     CONC_OFF, CONC_STD, CONC_HHI, CONC_MAXMIN,
     OPTIMAL, INFEASIBLE, TIME_LIMIT,
 )
+from . import aggregate
 from .aggregate import AggregateSet, PValuePairs
 
 # Tolerance for rate comparisons: exact ties (equal rates from symmetric
@@ -285,9 +287,19 @@ def _tables(agg: AggregateSet, cfg: BinningConfig,
     The copied matrices are built once per aggregate set, and the bound
     counts with the allowed bins once per set of bound values; both are kept
     in ``agg.lookups``, so a search, the recheck of its answer and later
-    searches with other trends share them.
+    searches with other trends share them.  With no ``pairs`` given, a set
+    with event counts (a binary target) takes the masks of
+    ``cfg.max_pvalue``, built once per level and kept there too; other sets
+    have no separation to check.
     """
     memo = agg.lookups
+    if pairs is None and cfg.max_pvalue is not None and agg.R_ne is not None:
+        level = ("pvalue", cfg.max_pvalue)
+        if level not in memo:
+            # through the module, where the benchmark's tracer wraps it
+            memo[level] = aggregate.pvalue_pairs(agg.R_ne, agg.R_e,
+                                                 cfg.max_pvalue)
+        pairs = memo[level]
     if "lists" not in memo:
         memo["lists"] = (_gain_matrix(agg).tolist(),
                          tuple(mat.tolist() for mat in agg.rate_matrices()),
@@ -924,8 +936,9 @@ def solve(agg: AggregateSet, cfg: BinningConfig,
     included; returns an OPTIMAL solution, or an INFEASIBLE one when no
     partition satisfies the constraints.  Deterministic: identical inputs
     give identical solutions (ties resolved by fewer bins, then earliest
-    interval start vector).  ``use_presolve`` has no effect: the completion
-    bound's adjacent-bin checks already rule out every bin that
+    interval start vector).  With no ``pairs``, a binary target's separation
+    is that of ``cfg.max_pvalue``.  ``use_presolve`` has no effect: the
+    completion bound's adjacent-bin checks already rule out every bin that
     ``presolve_monotonic`` would mask.
     """
     validate_config(cfg)

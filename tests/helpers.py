@@ -12,7 +12,7 @@ import pytest
 from binopt import (
     BinningConfig, TargetKind, TrendSpec,
     build_binary, build_continuous, build_multiclass, presolve_monotonic,
-    pvalue_pairs, solve, solver,
+    pvalue_pairs, refine_prebins_multiclass, solve, solver,
 )
 from binopt.preprocess import PrebinTable
 from binopt.solver import _tables
@@ -40,7 +40,8 @@ def multiclass_agg(class_events, divergence="iv"):
     table = PrebinTable(target=TargetKind.multiclass(ce.shape[0]),
                         count=ce.sum(axis=0), class_events=ce,
                         splits=tuple(float(i) + 0.5 for i in range(ce.shape[1] - 1)))
-    return build_multiclass(table, divergence=divergence)
+    return build_multiclass(refine_prebins_multiclass(table),
+                            divergence=divergence)
 
 
 def random_binary_agg(rng, n, divergence="iv", high=30):

@@ -20,9 +20,8 @@ import pytest
 from binopt import (
     BinningConfig, TrendSpec,
     apply_pvalue_constraint, brute_force_oracle, c_star, check_trend,
-    concentration_penalty, decode, divergence_contrib, encode,
-    evaluate_partition, iv_label, ls_solve, quality_score, rayleigh_factor,
-    solve, woe,
+    concentration_penalty, divergence_contrib, evaluate_partition, iv_label,
+    ls_solve, quality_score, rayleigh_factor, solve, woe,
 )
 from binopt import cli
 
@@ -342,15 +341,6 @@ def test_a7_local_search(corpus):
             hits += ls.objective >= e - tol
     assert total >= 250
     assert hits / total >= 0.95, "{} of {} within 10%".format(hits, total)
-
-    # bit-vector encoding round-trips
-    rng = np.random.default_rng(99)
-    for _ in range(10000):
-        n = int(rng.integers(1, 41))
-        bits = rng.integers(0, 2, size=n)
-        bits[-1] = 1
-        x = tuple(int(v) for v in bits)
-        assert encode(decode(x).intervals, n) == x
 
 
 # --------------------------------------------------------------------------- #

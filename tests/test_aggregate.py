@@ -7,7 +7,7 @@ import pytest
 from binopt import (
     AggregateSet, TargetKind, ZeroCountError,
     build_binary, build_continuous, build_multiclass, build_prebin_table,
-    divergence_contrib, pvalue_pairs, woe,
+    divergence_contrib, pvalue_pairs, refine_prebins_multiclass, woe,
 )
 from binopt.aggregate import _merge_counts, _zstat
 from binopt.preprocess import PrebinTable
@@ -214,15 +214,19 @@ class TestMulticlassAggregates:
             assert np.allclose(agg.class_V[c], ovr.V)
             assert np.allclose(agg.class_D[c], ovr.D)
 
-    def test_builds_refine_internally(self):
+    def test_builds_the_table_it_is_given(self):
+        # the caller refines: a refined table keeps its pre-bins, and an
+        # unrefined one has an undefined IV contribution
         ce = np.array([[5, 0, 3],
                        [1, 4, 2],
                        [2, 3, 1]], dtype=np.int64)
         t = PrebinTable(target=TargetKind.multiclass(3),
                         count=ce.sum(axis=0), class_events=ce,
                         splits=(0.5, 1.5))
-        agg = build_multiclass(t)   # middle pre-bin lacks class 0
-        assert agg.n == 2
+        refined = refine_prebins_multiclass(t)
+        assert build_multiclass(refined).n == refined.n == 2
+        with pytest.raises(ZeroCountError):
+            build_multiclass(t)     # middle pre-bin lacks class 0
 
     def test_rate_matrices_are_per_class(self):
         agg = build_multiclass(self._table())

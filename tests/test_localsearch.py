@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from binopt import (
-    INFEASIBLE, TIME_LIMIT, BinningConfig, InvalidConfigError,
-    MalformedEncodingError, TrendSpec,
-    apply_pvalue_constraint, check_trend, decode, encode, evaluate_partition,
-    localsearch, ls_objective, ls_solve, pvalue_pairs, solve,
+    INFEASIBLE, TIME_LIMIT, BinningConfig, InvalidConfigError, TrendSpec,
+    apply_pvalue_constraint, check_trend, evaluate_partition, localsearch,
+    ls_solve, pvalue_pairs, solve,
 )
 from binopt.localsearch import _neighbours
 from binopt.solver import _tables, _violated_groups
@@ -18,82 +17,6 @@ from helpers import (
     TREND_FAMILIES, binary_agg, continuous_agg, family_trend, multiclass_agg,
     random_binary_agg, random_instance, random_multiclass_agg,
 )
-
-
-class TestDecode:
-    def test_recurrence_example(self):
-        enc = decode([0, 1, 0, 0, 1])
-        assert enc.a == (1, 0, 1, 2, 0)
-        assert enc.z == (0, 1, 0, 0, 2)
-        assert enc.intervals == ((0, 1), (2, 4))
-
-    def test_all_ones_is_singletons(self):
-        enc = decode([1, 1, 1])
-        assert enc.intervals == ((0, 0), (1, 1), (2, 2))
-        assert enc.a == (0, 0, 0) and enc.z == (0, 0, 0)
-
-    def test_single_bit_is_one_bin(self):
-        assert decode([0, 0, 0, 1]).intervals == ((0, 3),)
-
-    def test_rejects_empty(self):
-        with pytest.raises(MalformedEncodingError):
-            decode([])
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(MalformedEncodingError):
-            decode([0, 2, 1])
-        with pytest.raises(MalformedEncodingError):
-            decode([-1, 1])
-
-    def test_rejects_open_tail(self):
-        with pytest.raises(MalformedEncodingError):
-            decode([1, 0])
-
-    def test_intervals_partition_everything(self):
-        rng = np.random.default_rng(4)
-        for _ in range(300):
-            n = int(rng.integers(1, 15))
-            x = [int(v) for v in rng.integers(0, 2, size=n)]
-            x[-1] = 1
-            iv = decode(x).intervals
-            assert iv[0][0] == 0 and iv[-1][1] == n - 1
-            for (s1, e1), (s2, e2) in zip(iv, iv[1:]):
-                assert e1 + 1 == s2
-
-
-class TestEncode:
-    def test_round_trip_both_ways(self):
-        rng = np.random.default_rng(6)
-        for _ in range(500):
-            n = int(rng.integers(1, 20))
-            x = [int(v) for v in rng.integers(0, 2, size=n)]
-            x[-1] = 1
-            enc = decode(x)
-            assert encode(enc.intervals, n) == tuple(x)
-            assert decode(encode(enc.intervals, n)).intervals == enc.intervals
-
-    def test_hand_case(self):
-        assert encode(((0, 1), (2, 4)), 5) == (0, 1, 0, 0, 1)
-
-
-class TestLsObjective:
-    def test_matches_reference_scorer(self):
-        agg = binary_agg([3, 1, 2], [1, 3, 2])
-        cfg = BinningConfig(min_bins=1, trend=TrendSpec("none"))
-        x = (1, 0, 1)
-        _, want = evaluate_partition(((0, 0), (1, 2)), agg, cfg)
-        assert ls_objective(x, agg, cfg) == want
-
-    def test_none_when_infeasible(self):
-        agg = binary_agg([3, 1], [1, 3])
-        cfg = BinningConfig(min_bins=2, trend=TrendSpec("none"))
-        assert ls_objective((0, 1), agg, cfg) is None
-
-    def test_length_mismatch_raises(self):
-        agg = binary_agg([3, 1], [1, 3])
-        cfg = BinningConfig(trend=TrendSpec("none"))
-        with pytest.raises(MalformedEncodingError):
-            ls_objective((1, 0, 1), agg, cfg)
 
 
 class TestLsSolve:
@@ -308,7 +231,7 @@ def test_violation_count_matches_the_public_checks():
                                           i % 4)
         for _ in range(4):
             bits = rng.random(agg.n - 1) < rng.random()
-            intervals = decode([*bits.astype(int), 1]).intervals
+            intervals = _intervals([*bits.astype(int), 1])
             count = sum(_violated_groups(intervals,
                                          _tables(agg, cfg, pairs)))
             feasible, _ = evaluate_partition(intervals, agg, cfg, pairs)
@@ -319,9 +242,25 @@ def test_violation_count_matches_the_public_checks():
     assert 0 in counts and max(counts) >= 4
 
 
+def _intervals(x) -> tuple:
+    """The partition whose bins end at the set bits of ``x`` (the last bit
+    set)."""
+    ends = [i for i, bit in enumerate(x) if bit]
+    return tuple(zip([0] + [e + 1 for e in ends[:-1]], ends))
+
+
+def _bits(intervals, n: int) -> list:
+    """The bit vector of a partition: a set bit at each bin's end."""
+    x = [0] * n
+    for _, e in intervals:
+        x[e] = 1
+    return x
+
+
 def _bit_neighbours(x: list, n: int):
-    """Reference: the encoding's moves, bit flips at 0..n-2 and then each
-    set bit's shift left and right, in that order."""
+    """Reference for the move order, on the bit vector of a partition's bin
+    ends: flips at 0..n-2 and then each set bit's shift left and right, in
+    that order."""
     for i in range(n - 1):
         y = x.copy()
         y[i] ^= 1
@@ -343,17 +282,17 @@ def _bit_neighbours(x: list, n: int):
 
 def _check_neighbours(agg, cfg, pairs, intervals, label):
     """Every neighbour the search scores from the tables has the key the
-    whole-partition checks give its decoded partition, bit for bit, and the
-    neighbours come in the encoding's move order.  Returns the counts of
-    neighbours scored, feasible, and infeasible by their p-value separation
-    alone."""
+    whole-partition checks give its partition, bit for bit, and the
+    neighbours come in the bit-vector reference's move order.  Returns the
+    counts of neighbours scored, feasible, and infeasible by their p-value
+    separation alone."""
     tab = _tables(agg, cfg, pairs)
     bad_bins = sum(tab.bad[e][s] for s, e in intervals)
     got = [(key, obj, intervals[:j] + add + intervals[j + drop:], y_bad)
            for key, obj, (j, drop, add), y_bad
            in _neighbours(intervals, bad_bins, tab)]
-    x = list(encode(intervals, agg.n))
-    want = [decode(y).intervals for y in _bit_neighbours(x, agg.n)]
+    x = _bits(intervals, agg.n)
+    want = [_intervals(y) for y in _bit_neighbours(x, agg.n)]
     assert [y for _, _, y, _ in got] == want, label
     scored = feasible = by_pvalue = 0
     for key, obj, y, y_bad in got:
@@ -432,7 +371,7 @@ def test_neighbour_keys_match_whole_partition_scoring(monkeypatch):
                                           i % 4)
         for _ in range(2):
             x = [*(rng.random(agg.n - 1) < rng.random()).astype(int), 1]
-            counts = _check_neighbours(agg, cfg, pairs, decode(x).intervals,
+            counts = _check_neighbours(agg, cfg, pairs, _intervals(x),
                                        (i, x))
             scored += counts[0]
             feasible += counts[1]
@@ -446,15 +385,15 @@ def test_neighbour_keys_match_whole_partition_scoring(monkeypatch):
     for i in range(150):
         agg, cfg, pairs = _wide_instance(rng, i)
         x = [*(rng.random(agg.n - 1) < rng.random() / 2).astype(int), 1]
-        starts = [decode(x).intervals]
+        starts = [_intervals(x)]
         sol = ls_solve(agg, cfg, pairs, seed=i)
         if sol.is_feasible:
             wide_feasible += 1
             starts.append(sol.intervals)
             for flip in rng.choice(agg.n - 1, size=3, replace=False):
-                x = list(encode(sol.intervals, agg.n))
+                x = _bits(sol.intervals, agg.n)
                 x[flip] ^= 1
-                starts.append(decode(x).intervals)
+                starts.append(_intervals(x))
         for intervals in starts:
             counts = _check_neighbours(agg, cfg, pairs, intervals,
                                        (i, intervals))

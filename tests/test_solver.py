@@ -13,6 +13,7 @@ from binopt import (
     Solution, ls_solve, pvalue_pairs, solve,
 )
 from binopt import solver
+from binopt.core import ASCENDING, DESCENDING
 from binopt.solver import (
     AUTO_MARGIN, EPS, _PHASE_BITS, _completion_bound, _least_squares, _pick,
     _resolved_trends, _std_floor, _tables,
@@ -20,7 +21,8 @@ from binopt.solver import (
 
 from helpers import (
     TREND_FAMILIES, binary_agg, continuous_agg, family_trend, multiclass_agg,
-    presolved_context, presolved_solve, random_binary_agg, random_instance,
+    presolved_context, presolved_solve, random_binary_agg,
+    random_continuous_agg, random_instance, random_multiclass_agg,
 )
 
 
@@ -181,6 +183,30 @@ class TestPValueConstraint:
         assert sol.intervals == ((0, 1),)
         strict = BinningConfig(min_bins=2, trend=TrendSpec("none"))
         assert solve(agg, strict, pairs).status == "infeasible"
+
+    def test_config_level_applies_without_pairs(self):
+        # a binary set builds the masks of cfg.max_pvalue itself, so every
+        # solver and the evaluator answer as if they had been passed
+        agg = random_binary_agg(np.random.default_rng(3), 12, high=40)
+        cfg = BinningConfig(min_bins=2, max_pvalue=0.05)
+        pairs = pvalue_pairs(agg.R_ne, agg.R_e, 0.05)
+        singletons = tuple((i, i) for i in range(agg.n))
+        assert evaluate_partition(singletons, agg, cfg)[0] is False
+        assert evaluate_partition(singletons, agg, cfg, pairs)[0] is False
+        sol = solve(agg, cfg)
+        assert sol == solve(agg, cfg, pairs)
+        assert sol.n_bins == 8 and sol.intervals != singletons
+        assert brute_force_oracle(agg, cfg) == brute_force_oracle(agg, cfg,
+                                                                  pairs)
+        assert ls_solve(agg, cfg) == ls_solve(agg, cfg, pairs)
+
+    def test_level_is_ignored_without_event_counts(self):
+        # continuous and multi-class sets have no two-proportion test
+        rng = np.random.default_rng(4)
+        for agg in (random_continuous_agg(rng, 10),
+                    random_multiclass_agg(rng, 10)):
+            cfg = BinningConfig(min_bins=2, trend=TrendSpec("none"))
+            assert solve(agg, replace(cfg, max_pvalue=0.05)) == solve(agg, cfg)
 
 
 # --------------------------------------------------------------------------- #
@@ -368,6 +394,64 @@ class TestSolve:
 
 
 # --------------------------------------------------------------------------- #
+# beyond the oracle: trend none against a dynamic program
+# --------------------------------------------------------------------------- #
+
+def _dp_best(agg, cfg):
+    """(best objective, least bin count reaching it) by a DP over the last
+    bin's end and the bin count, for trend none with a record floor and
+    bin-count bounds only: no p-value separation, no penalty, no other
+    count bound.  Each path's gains are summed left to right, as the
+    solvers sum a partition's, and IEEE addition is monotone, so keeping the
+    best sum per state keeps the best sum of every path through it."""
+    n, floor = agg.n, cfg.min_bin_size
+    b_max = cfg.max_bins if cfg.max_bins is not None else n
+    gain = (-agg.L if agg.target.is_continuous else agg.V).tolist()
+    R = agg.R.tolist()
+    # best[e + 1][k]: greatest gain sum of k bins covering pre-bins 0..e
+    best = [{} for _ in range(n + 1)]
+    best[0][0] = 0.0
+    for e in range(n):
+        here = best[e + 1]
+        for s in range(e + 1):
+            if R[e][s] < floor:
+                continue
+            for k, total in best[s].items():
+                if k < b_max:
+                    total += gain[e][s]
+                    if k + 1 not in here or total > here[k + 1]:
+                        here[k + 1] = total
+    ends = {k: v for k, v in best[n].items() if k >= cfg.min_bins}
+    top = max(ends.values())
+    k = min(k for k, v in ends.items() if v == top)
+    return (0.0 - top if agg.target.is_continuous else top), k
+
+
+@pytest.mark.parametrize("n", [30, 60, 100, 200])
+def test_trend_none_matches_a_dp_beyond_the_oracle(n):
+    # the 5% floor, min_bins 2 and max_bins None or 6, on every target
+    # kind, divergence and norm
+    rng = np.random.default_rng(3000 + n)
+    aggs = (random_binary_agg(rng, n, high=60),
+            random_binary_agg(rng, n, "jsd", high=60),
+            random_continuous_agg(rng, n),
+            random_continuous_agg(rng, n, norm_p=1),
+            random_multiclass_agg(rng, n))
+    for agg in aggs:
+        for max_bins in (None, 6):
+            cfg = BinningConfig(
+                min_bins=2, max_bins=max_bins, trend=TrendSpec("none"),
+                min_bin_size=math.ceil(0.05 * agg.n_records),
+                divergence=agg.divergence or "iv")
+            sol = solve(agg, cfg)
+            objective, bins = _dp_best(agg, cfg)
+            label = (agg.target.kind, agg.divergence, max_bins)
+            assert sol.status == "optimal", label
+            assert sol.objective == objective, label
+            assert sol.n_bins == bins, label
+
+
+# --------------------------------------------------------------------------- #
 # the completion bound
 # --------------------------------------------------------------------------- #
 
@@ -440,7 +524,8 @@ class TestCompletionBound:
             trends = _resolved_trends(agg, cfg)
             ref = brute_force_oracle(agg, cfg, pairs)
             bounds = [_root_bound(agg, _tables(agg, cfg, pairs))]
-            if trends[0].is_monotonic and agg.D is not None:
+            if (trends[0].kind in (ASCENDING, DESCENDING)
+                    and agg.D is not None):
                 bounds.append(_root_bound(
                     agg, presolved_context(agg, cfg, pairs)))
             for root in bounds:
