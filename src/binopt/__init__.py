@@ -44,7 +44,6 @@ from .aggregate import (
 from .solver import (
     apply_pvalue_constraint,
     check_trend,
-    concentration_penalty,
     evaluate_partition,
     presolve_monotonic,
     solve,
@@ -75,7 +74,7 @@ __all__ = [
     "refine_prebins_multiclass",
     "AggregateSet", "PValuePairs", "woe", "divergence_contrib",
     "build_binary", "build_continuous", "build_multiclass", "pvalue_pairs",
-    "apply_pvalue_constraint", "check_trend", "concentration_penalty",
+    "apply_pvalue_constraint", "check_trend",
     "evaluate_partition",
     "presolve_monotonic", "solve", "brute_force_oracle",
     "ls_solve",

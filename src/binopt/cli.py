@@ -14,8 +14,9 @@ The CSV file is read into memory once and only the requested columns are
 extracted, as arrays of byte tokens (``_read_columns``): numpy locates every
 comma and line feed, and a file that needs RFC-4180 quoting (or holds a lone
 CR or a NUL byte) goes through ``csv.reader`` with the same results.  The
-parsers work on those arrays (``_parse_variable``, ``_parse_target``).  Fit
-and transform route records to table rows with ``preprocess.table_rows``;
+parsers turn those arrays into values (``_parse_variable``,
+``_parse_target``), and the fit checks the target's values.  Fit and
+transform route records to table rows with ``preprocess.table_rows``;
 ``_pool_rows`` lists the rows after the bins once, for tables and outputs.
 
 Exit codes: 0 success, 2 no feasible binning for the data and constraints
@@ -316,8 +317,6 @@ def _parse_variable(tokens, dtype: str, missing_token: str) -> tuple:
     """
     absent = _encoded(missing_token)
     missing = tokens == absent
-    if dtype == "auto" and missing.all():
-        raise InputError("variable column holds no non-missing values")
     if dtype != CATEGORICAL:
         values = _floats(tokens, missing)
         if values is not None:
@@ -350,11 +349,11 @@ def _distinct(tokens) -> tuple:
 
 
 def _parse_target(tokens, kind: str, missing_token: str):
-    """The target column of byte tokens parsed as a ``kind`` (``binary``,
-    ``continuous`` or ``multiclass``) target, and its TargetKind.  Each
-    distinct token is parsed once.  A continuous target must be finite; a
-    multi-class one is recoded to 0..K-1 in sorted label order, with the
-    class count inferred from the data.
+    """The target column of byte tokens parsed as numbers, and its
+    TargetKind for ``kind`` (``binary``, ``continuous`` or ``multiclass``).
+    Each distinct token is parsed once.  A multi-class target's labels must
+    be integers; they are recoded to 0..K-1 in sorted order, with the class
+    count inferred from the data.  ``_fit`` checks the values.
     """
     missing = tokens == _encoded(missing_token)
     if missing.any():
@@ -362,37 +361,19 @@ def _parse_target(tokens, kind: str, missing_token: str):
                          .format(missing.argmax() + 1))
     labels, inverse = _distinct(tokens)
     strings = _decoded(labels)
-
-    if kind == "binary":
-        bad = [_not_float(s) or float(s) not in (0.0, 1.0) for s in strings]
-        if any(bad):
-            raise InputError("row {}: binary target must be 0 or 1; got {!r}"
-                             .format(*_first(strings, inverse, bad)))
-        return np.array(strings, dtype=float)[inverse].astype(np.int64), \
-            TargetKind(kind)
-    if kind == "continuous":
-        bad = [_not_float(s) for s in strings]
-        if any(bad):
-            raise InputError("row {}: cannot parse target {!r} as a number"
-                             .format(*_first(strings, inverse, bad)))
-        values = np.array(strings, dtype=float)
-        if not np.isfinite(values).all():
-            raise InputError("row {}: target {!r} is not a finite number"
-                             .format(*_first(strings, inverse,
-                                             ~np.isfinite(values))))
-        return values[inverse], TargetKind(kind)
-
-    # is_integer() is False for nan and inf
-    bad = [_not_float(s) or not float(s).is_integer() for s in strings]
+    bad = [_not_float(s) for s in strings]
     if any(bad):
-        row, tok = _first(strings, inverse, bad)
-        if _not_float(tok):
-            raise InputError(
-                "row {}: cannot parse class label {!r}".format(row, tok))
-        raise InputError(
-            "row {}: class labels must be integers; got {!r}".format(row, tok))
-    classes, codes = np.unique(np.array(strings, dtype=float),
-                               return_inverse=True)
+        raise InputError("row {}: cannot parse target {!r} as a number"
+                         .format(*_first(strings, inverse, bad)))
+    values = np.array(strings, dtype=float)
+    if kind != "multiclass":
+        return values[inverse], TargetKind(kind)
+    # is_integer() is False for nan and inf
+    bad = [not v.is_integer() for v in values.tolist()]
+    if any(bad):
+        raise InputError("row {}: class labels must be integers; got {!r}"
+                         .format(*_first(strings, inverse, bad)))
+    classes, codes = np.unique(values, return_inverse=True)
     if classes.size < 3:
         raise InputError(
             "multiclass target has {} distinct labels; use a binary target"
@@ -491,12 +472,13 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
     Raises InfeasibleError when no partition satisfies the constraints, and
     TimeBudgetError when the local search's budget ran out before it met a
     feasible one.  A negative or NaN budget, or ``max_pvalue`` on a target
-    that is not binary, is an InvalidConfigError.  A continuous target whose
-    sum of squares is not finite is an InputError: that sum bounds every bin
-    sum, mean and deviation the fit takes (a merge's squared deviations of
-    pre-bin means sum to at most its records' squares), so none overflows,
-    and a nan or inf value fails it too.  So is a binary value outside
-    {0, 1} or a multi-class label outside the integers 0..K-1.
+    that is not binary, is an InvalidConfigError.  A target value outside its
+    kind's domain is an InputError naming its row: a binary value outside
+    {0, 1}, a multi-class label outside the integers 0..K-1, a continuous
+    value that is not finite.  So is a continuous target whose sum of squares
+    is not finite: that sum bounds every bin sum, mean and deviation the fit
+    takes (a merge's squared deviations of pre-bin means sum to at most its
+    records' squares), so none overflows.
     """
     validate_config(cfg)
     _check_time_limit(time_budget)
@@ -505,18 +487,20 @@ def _fit(values, target, target_kind: TargetKind, cfg: BinningConfig,
                                   "only, not {}".format(target_kind.kind)])
     y = np.asarray(target, dtype=float)
     if target_kind.is_continuous:
-        with np.errstate(over="ignore"):
-            if not math.isfinite(float(np.dot(y, y))):
-                raise InputError("continuous target values must be finite "
-                                 "and their sums must not overflow")
+        bad, domain = ~np.isfinite(y), "a finite number"
     else:
         k = target_kind.n_classes if target_kind.is_multiclass else 2
         bad = ~np.isin(y, np.arange(k))           # nan is in no class
-        if bad.any():
-            i = int(bad.argmax())
-            raise InputError("record {}: {} target must be an integer in "
-                             "0..{}; got {!r}".format(i + 1, target_kind.kind,
-                                                      k - 1, float(y[i])))
+        domain = "an integer in 0..{}".format(k - 1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise InputError("row {}: {} target must be {}; got {}".format(
+            i + 1, target_kind.kind, domain, y[i]))
+    if target_kind.is_continuous:
+        with np.errstate(over="ignore"):
+            if not math.isfinite(float(np.dot(y, y))):
+                raise InputError("the continuous target's sums must not "
+                                 "overflow")
     if dtype != NUMERIC:        # a label keeps its type: 1 is "1", not "1.0"
         values = np.asarray(values, dtype=object)
     (xc, yc), (xs, ys_special), (xm, ys_missing) = \
@@ -754,12 +738,8 @@ def cmd_fit(args) -> int:
         with open(args.model, "w", encoding="utf-8") as fh:
             fh.write(model.to_json())
             fh.write("\n")
-    if args.format == "json":
-        print(model.to_json())
-    else:
-        print(render_summary(model))
-        print()
-        print(render_table(model))
+    print(model.to_json() if args.format == "json" else
+          "\n\n".join([render_summary(model), render_table(model)]))
     return EXIT_OK
 
 
@@ -796,14 +776,8 @@ def cmd_report(args) -> int:
     if not model.target_kind.is_binary:
         raise InputError("quality reports need a binary-target model; this one "
                          "is {}".format(model.target_kind.kind))
-    if args.format == "json":
-        print(model.to_json())
-    else:
-        print(render_summary(model))
-        print()
-        print(render_quality(model))
-        print()
-        print(render_table(model))
+    print(model.to_json() if args.format == "json" else "\n\n".join(
+        [render_summary(model), render_quality(model), render_table(model)]))
     return EXIT_OK
 
 
@@ -885,9 +859,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidConfigError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (InfeasibleError, DegenerateColumnError, ZeroCountError) as exc:
         print("infeasible: {}".format(exc), file=sys.stderr)
         return EXIT_INFEASIBLE

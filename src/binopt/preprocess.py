@@ -40,12 +40,19 @@ def _column(values) -> np.ndarray:
 
 def label_codes(values):
     """The distinct values in order of first appearance, and each record's
-    position among them."""
-    labels = list(dict.fromkeys(values))
-    position = {v: k for k, v in enumerate(labels)}
-    codes = np.fromiter(map(position.__getitem__, values), dtype=np.intp,
+    position among them.  Values equal under ``==`` that print differently
+    are distinct, as categories are keyed by their string form: ``1``,
+    ``1.0`` and ``True`` are three values, and so are ``0.0`` and ``-0.0``.
+    """
+    keys = values
+    distinct = list(dict.fromkeys(keys))
+    if not all(v is None or isinstance(v, str) for v in distinct):
+        keys = list(zip(values, map(str, values)))
+        distinct = list(dict.fromkeys(keys))
+    position = {v: k for k, v in enumerate(distinct)}
+    codes = np.fromiter(map(position.__getitem__, keys), dtype=np.intp,
                         count=len(values))
-    return labels, codes
+    return (distinct if keys is values else [v for v, _ in distinct]), codes
 
 
 def table_rows(values, special_values=(), *, splits=None, groups=None,

@@ -181,17 +181,10 @@ def _trend_feasible(intervals, rates, trend: TrendSpec, min_diff: float) -> bool
 # constraint pieces shared by solver, oracle and recheck
 # --------------------------------------------------------------------------- #
 
-def concentration_penalty(intervals, R, kind: str) -> float:
-    """Concentration of records across bins: sample std, HHI, or max-min.
-
-    Computed on total record counts per bin.  A single bin has zero std by
-    convention.  Always nonnegative.
-    """
-    return _penalty([float(R[e, s]) for s, e in intervals], kind)
-
-
 def _penalty(counts, kind: str) -> float:
-    """``concentration_penalty`` of the bins' record counts, in bin order."""
+    """Concentration of the bins' record ``counts``, in bin order: sample
+    std, HHI, or max-min.  A single bin has zero std by convention.  Always
+    nonnegative."""
     if kind == CONC_OFF:
         return 0.0
     if kind == CONC_STD:

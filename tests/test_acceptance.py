@@ -20,7 +20,7 @@ import pytest
 from binopt import (
     BinningConfig, TrendSpec,
     apply_pvalue_constraint, brute_force_oracle, c_star, check_trend,
-    concentration_penalty, divergence_contrib, evaluate_partition, iv_label,
+    divergence_contrib, evaluate_partition, iv_label,
     ls_solve, quality_score, rayleigh_factor, solve, woe,
 )
 from binopt import cli
@@ -140,6 +140,21 @@ def test_a4_presolve_soundness(corpus):
 # 5. peak/valley change-point decomposition vs the shape predicate
 # --------------------------------------------------------------------------- #
 
+def _concentration(intervals, R, kind):
+    """The sample std, HHI or max-min of the bins' record counts."""
+    counts = [float(R[e, s]) for s, e in intervals]
+    m = len(counts)
+    if kind == "std":
+        if m == 1:
+            return 0.0
+        mean = sum(counts) / m
+        return math.sqrt(sum((c - mean) ** 2 for c in counts) / (m - 1))
+    if kind == "hhi":
+        return sum(c * c for c in counts) / (sum(counts) * sum(counts))
+    assert kind == "maxmin", kind
+    return max(counts) - min(counts)
+
+
 def _independent_best(agg, cfg, pairs, trend):
     """Best objective over all partitions passing the public checks only.
 
@@ -189,8 +204,7 @@ def _independent_best(agg, cfg, pairs, trend):
             total += obj[e, s0]
         gamma = cfg.gamma if cfg.concentration != "off" else 0.0
         if gamma:
-            pen = gamma * concentration_penalty(intervals, agg.R,
-                                                cfg.concentration)
+            pen = gamma * _concentration(intervals, agg.R, cfg.concentration)
             total = total + pen if minimize else total - pen
         if best is None or (total < best if minimize else total > best):
             best = total
@@ -287,7 +301,7 @@ def _verify_solution(sol, agg, cfg, pairs):
         total += obj[e, s]
     gamma = cfg.gamma if cfg.concentration != "off" else 0.0
     if gamma:
-        pen = gamma * concentration_penalty(intervals, agg.R, cfg.concentration)
+        pen = gamma * _concentration(intervals, agg.R, cfg.concentration)
         total = total + pen if agg.target.is_continuous else total - pen
     assert math.isclose(sol.objective, total, rel_tol=1e-9, abs_tol=1e-12)
 

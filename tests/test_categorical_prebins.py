@@ -11,6 +11,8 @@ as one table row).  Both must give the same arrays, dtypes, groups and stats
 bit for bit, and raise the same errors, on seeded random columns.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -195,13 +197,20 @@ def test_a_categorical_fit_codes_its_column_once(monkeypatch):
 @pytest.mark.parametrize("kind", KINDS[:2], ids=lambda k: k.kind)
 def test_labels_with_one_string_form_are_one_category(kind):
     """The int ``1`` and the label ``"1"`` are one category, as
-    ``table_rows`` and model files match labels by their string form."""
+    ``table_rows`` and model files match labels by their string form; ``1.0``
+    and ``True``, equal to ``1`` under ``==``, are categories of their own.
+    The fit is the fit of the labels' string forms, and transform puts each
+    label in its string form's row whichever of them comes first."""
     rng = np.random.default_rng(9)
-    words = np.array([1, "1", "a", "b", "c"], dtype=object)
-    values = words[rng.integers(0, 5, 300)]
+    words = np.array([1, "1", 1.0, True, "a", "b", "c"], dtype=object)
+    values = words[rng.integers(0, len(words), 300)]
     target = _target(rng, kind, 300)
     cfg = BinningConfig(min_bins=1)
     mixed = cli._fit(values, target, kind, cfg, "x", "categorical")
     text = cli._fit(values.astype(str), target, kind, cfg, "x", "categorical")
-    assert sorted(lab for g in mixed.groups for lab in g) == ["1", "a", "b", "c"]
+    assert sorted(lab for g in mixed.groups for lab in g) == \
+        ["1", "1.0", "True", "a", "b", "c"]
     assert mixed.to_json() == text.to_json()
+    for order in itertools.permutations(words[:4].tolist()):
+        assert cli.transform_values(mixed, list(order), "index").tolist() == \
+            cli.transform_values(text, list(map(str, order)), "index").tolist()

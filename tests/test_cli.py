@@ -233,6 +233,16 @@ class TestFitExitCodes:
         assert code == 2
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("dtype", ["auto", "numeric", "categorical"])
+    def test_all_missing_variable_is_2(self, tmp_path, capsys, dtype):
+        path = tmp_path / "missing.csv"
+        path.write_text("x,y\n,0\n,1\n,0\n")
+        code, _, err = run(capsys, [
+            "fit", "--data", str(path), "--variable", "x", "--target", "y",
+            "--dtype", dtype])
+        assert code == 2
+        assert "infeasible: no records left" in err
+
     def test_unknown_column_is_3(self, binary_csv, capsys):
         code, _, err = run(capsys, [
             "fit", "--data", binary_csv, "--variable", "wage",
@@ -279,6 +289,18 @@ class TestFitExitCodes:
             "--target", "default", "--min-bins", "0"])
         assert code == 3
         assert "min_bins" in err
+
+    def test_config_error_is_reported_before_a_target_value(self, tmp_path,
+                                                            capsys):
+        # the fit checks the config first, then the target's values
+        data = _write_csv(tmp_path / "t.csv", ["x", "y"],
+                          [[1.0, 0], [2.0, 2], [3.0, 1]])
+        code, _, err = run(capsys, [
+            "fit", "--data", data, "--variable", "x", "--target", "y",
+            "--min-bins", "0"])
+        assert code == 3
+        assert "min_bins" in err
+        assert "binary target" not in err
 
     @pytest.mark.parametrize("kind, trend", [("binary", "peak:50"),
                                              ("multiclass", "peak:50,none,none")])
@@ -394,13 +416,15 @@ class TestFitExitCodes:
     @pytest.mark.parametrize("x, y, flags, message", [
         ("abc", "0", ["--dtype", "numeric"],
          "row 3: cannot parse 'abc' as a number"),
-        ("3.5", "7", [], "row 3: binary target must be 0 or 1; got '7'"),
-        ("3.5", "nan", [], "row 3: binary target must be 0 or 1; got 'nan'"),
+        ("3.5", "7", [],
+         "row 3: binary target must be an integer in 0..1; got 7.0"),
+        ("3.5", "nan", [],
+         "row 3: binary target must be an integer in 0..1; got nan"),
         ("3.5", "", [], "row 3: target value is missing"),
         ("3.5", "x", ["--target-kind", "continuous"],
          "row 3: cannot parse target 'x' as a number"),
         ("3.5", "x", ["--target-kind", "multiclass"],
-         "row 3: cannot parse class label 'x'"),
+         "row 3: cannot parse target 'x' as a number"),
         ("3.5", "1.5", ["--target-kind", "multiclass"],
          "row 3: class labels must be integers; got '1.5'"),
         ("3.5", "nan", ["--target-kind", "multiclass"],
@@ -408,9 +432,10 @@ class TestFitExitCodes:
         ("3.5", "inf", ["--target-kind", "multiclass"],
          "row 3: class labels must be integers; got 'inf'"),
         ("3.5", "nan", ["--target-kind", "continuous"],
-         "row 3: target 'nan' is not a finite number"),
+         "row 3: continuous target must be a finite number; got nan"),
         ("3.5", "-inf", ["--target-kind", "continuous"],
-         "row 3: target '-inf' is not a finite number"),
+         "row 3: continuous target must be a finite number; got -inf"),
+        ("3.5", "x", [], "row 3: cannot parse target 'x' as a number"),
     ])
     def test_parse_errors_name_the_row(self, tmp_path, capsys, x, y, flags,
                                        message):
@@ -755,8 +780,6 @@ def _reference_not_float(tok):
 def _reference_parse_variable(tokens, dtype, missing_token):
     """The variable parser on a list of strings, one Python object per
     token, as the reader's string columns were parsed."""
-    if dtype == "auto" and tokens.count(missing_token) == len(tokens):
-        raise InputError("variable column holds no non-missing values")
     if dtype != "categorical":
         values = _reference_floats(["nan" if tok == missing_token else tok
                                     for tok in tokens])
@@ -779,38 +802,20 @@ def _reference_not_class_label(tok):
 
 
 def _reference_parse_target(tokens, kind, missing_token):
-    """The target parser on a list of strings, token by token; a continuous
-    target must also be finite."""
+    """The target parser on a list of strings, token by token: numbers, and
+    a multi-class target's integer labels recoded to 0..K-1."""
     if missing_token in tokens:
         raise InputError("row {}: target value is missing"
                          .format(tokens.index(missing_token) + 1))
     y = _reference_floats(tokens)
-    if kind == "binary":
-        if y is None or not np.all((y == 0.0) | (y == 1.0)):
-            row, tok = _reference_first_row(
-                tokens, lambda t: _reference_not_float(t)
-                or float(t) not in (0.0, 1.0))
-            raise InputError(
-                "row {}: binary target must be 0 or 1; got {!r}".format(row, tok))
-        return y.astype(np.int64), TargetKind.binary()
-    if kind == "continuous":
-        if y is None:
-            row, tok = _reference_first_row(tokens, _reference_not_float)
-            raise InputError(
-                "row {}: cannot parse target {!r} as a number".format(row, tok))
-        if not np.isfinite(y).all():
-            row, tok = _reference_first_row(
-                tokens, lambda t: not math.isfinite(float(t)))
-            raise InputError(
-                "row {}: target {!r} is not a finite number".format(row, tok))
-        return y, TargetKind.continuous()
-    if y is None or not np.all(np.isfinite(y) & (y == np.trunc(y))):
-        row, tok = _reference_first_row(
-            tokens, lambda t: _reference_not_float(t)
-            or _reference_not_class_label(t))
-        if _reference_not_float(tok):
-            raise InputError(
-                "row {}: cannot parse class label {!r}".format(row, tok))
+    if y is None:
+        row, tok = _reference_first_row(tokens, _reference_not_float)
+        raise InputError(
+            "row {}: cannot parse target {!r} as a number".format(row, tok))
+    if kind != "multiclass":
+        return y, TargetKind(kind)
+    if not np.all(np.isfinite(y) & (y == np.trunc(y))):
+        row, tok = _reference_first_row(tokens, _reference_not_class_label)
         raise InputError(
             "row {}: class labels must be integers; got {!r}".format(row, tok))
     classes, codes = np.unique(y, return_inverse=True)
@@ -1303,35 +1308,39 @@ def test_numeric_labels_fit_and_transform_as_categories(as_array):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
 def test_library_fit_rejects_a_continuous_target_with_non_finite_sums(bad):
-    """``_fit`` applies the CLI's rule for continuous targets to library
-    callers: a nan or inf value, or values whose sums overflow, are an
-    InputError before any aggregate is built."""
+    """``_fit`` checks a continuous target for every caller: a nan or inf
+    value is an InputError naming its row, and so are values whose sums
+    overflow, before any aggregate is built."""
     rng = np.random.default_rng(0)
     values, target = rng.normal(size=300), rng.normal(size=300)
     if bad == "overflow":
         target[:] = 1e308
+        message = "the continuous target's sums must not overflow"
     else:
         target[5] = float(bad)
-    with pytest.raises(InputError, match="sums must not overflow"):
+        message = "row 6: continuous target must be a finite number; got " \
+            + bad
+    with pytest.raises(InputError) as info:
         cli._fit(values, target, TargetKind.continuous(), BinningConfig(),
                  "x", "numeric")
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("kind, bad, message", [
     # counted as two events and minus one non-event
-    ("binary", 2.0, "record 6: binary target must be an integer in 0..1; "
+    ("binary", 2.0, "row 6: binary target must be an integer in 0..1; "
      "got 2.0"),
     # a zero share of the divergence, once routed
-    ("binary", math.nan, "record 6: binary target must be an integer in "
+    ("binary", math.nan, "row 6: binary target must be an integer in "
      "0..1; got nan"),
     # dropped from every class
-    ("multiclass", math.nan, "record 6: multiclass target must be an "
+    ("multiclass", math.nan, "row 6: multiclass target must be an "
      "integer in 0..2; got nan"),
 ])
 def test_library_fit_rejects_a_target_outside_its_classes(kind, bad,
                                                           message):
-    """``_fit`` applies the CLI's rule for binary and multi-class targets
-    to library callers: each value is one of the K classes 0..K-1."""
+    """``_fit`` checks binary and multi-class targets for every caller:
+    each value is one of the K classes 0..K-1."""
     rng = np.random.default_rng(1)
     k = 2 if kind == "binary" else 3
     values = rng.normal(size=300)

@@ -9,14 +9,14 @@ import pytest
 from binopt import (
     AggregateSet, BinningConfig, InvalidConfigError, TargetKind, TrendSpec,
     apply_pvalue_constraint, brute_force_oracle, check_trend,
-    concentration_penalty, evaluate_partition, presolve_monotonic,
+    evaluate_partition, presolve_monotonic,
     Solution, ls_solve, pvalue_pairs, solve,
 )
 from binopt import solver
 from binopt.core import ASCENDING, DESCENDING
 from binopt.solver import (
-    AUTO_MARGIN, EPS, _PHASE_BITS, _completion_bound, _least_squares, _pick,
-    _resolved_trends, _std_floor, _tables,
+    AUTO_MARGIN, EPS, _PHASE_BITS, _completion_bound, _least_squares,
+    _penalty, _pick, _resolved_trends, _std_floor, _tables,
 )
 
 from helpers import (
@@ -110,33 +110,26 @@ class TestCheckTrend:
 # --------------------------------------------------------------------------- #
 
 class TestConcentration:
-    def setup_method(self):
-        self.agg = continuous_agg([30, 70], [30.0, 70.0])
-        self.split = ((0, 0), (1, 1))
-        self.merged = ((0, 1),)
+    # bins of 30 and 70 records, and the two merged
+    split, merged = [30.0, 70.0], [100.0]
 
     def test_std_uses_sample_variance(self):
-        pen = concentration_penalty(self.split, self.agg.R, "std")
-        assert pen == pytest.approx(math.sqrt(800.0))
+        assert _penalty(self.split, "std") == pytest.approx(math.sqrt(800.0))
 
     def test_std_of_single_bin_is_zero(self):
-        assert concentration_penalty(self.merged, self.agg.R, "std") == 0.0
+        assert _penalty(self.merged, "std") == 0.0
 
     def test_hhi(self):
-        assert concentration_penalty(self.split, self.agg.R, "hhi") == \
-            pytest.approx(0.58)
-        even = continuous_agg([50, 50], [1.0, 1.0])
-        assert concentration_penalty(self.split, even.R, "hhi") == \
-            pytest.approx(0.5)
-        assert concentration_penalty(self.merged, self.agg.R, "hhi") == \
-            pytest.approx(1.0)
+        assert _penalty(self.split, "hhi") == pytest.approx(0.58)
+        assert _penalty([50.0, 50.0], "hhi") == pytest.approx(0.5)
+        assert _penalty(self.merged, "hhi") == pytest.approx(1.0)
 
     def test_maxmin(self):
-        assert concentration_penalty(self.split, self.agg.R, "maxmin") == 40.0
-        assert concentration_penalty(self.merged, self.agg.R, "maxmin") == 0.0
+        assert _penalty(self.split, "maxmin") == 40.0
+        assert _penalty(self.merged, "maxmin") == 0.0
 
     def test_off_is_free(self):
-        assert concentration_penalty(self.split, self.agg.R, "off") == 0.0
+        assert _penalty(self.split, "off") == 0.0
 
     def test_penalty_direction_in_objective(self):
         agg = binary_agg([8, 2], [2, 8])
@@ -449,6 +442,76 @@ def test_trend_none_matches_a_dp_beyond_the_oracle(n):
             assert sol.status == "optimal", label
             assert sol.objective == objective, label
             assert sol.n_bins == bins, label
+
+
+def _monotone_dp(agg, cfg, tight: bool):
+    """Greatest gain sum of at least two bins, each passing the record
+    floor, whose rates follow the monotone ``cfg.trend`` bin after bin, or
+    None when no partition does.  ``tight``: each rate passes the previous
+    one plus ``min_diff`` with no slack, a subset of the chains ``solve``
+    accepts.  Else each rate ``_follows`` the previous one, slack included,
+    a superset: ``solve`` also compares it with every earlier rate.  The
+    p-value masks of ``cfg.max_pvalue`` hold between adjacent bins, so both
+    enforce them exactly.
+
+    ``best[e, s]`` is the greatest gain sum, left to right, of a path that
+    ends with bin s..e, maximized over the previous bin at once.  A path's
+    next gain is added to its best sum, which IEEE addition keeps best."""
+    n, up, beta = agg.n, cfg.trend.kind == ASCENDING, cfg.min_diff
+    gain, rate = solver._gain_matrix(agg), agg.rate_matrices()[0]
+    masks = (pvalue_pairs(agg.R_ne, agg.R_e, cfg.max_pvalue).masks
+             if cfg.max_pvalue is not None else None)
+    best = np.where(agg.R >= cfg.min_bin_size, gain, -np.inf)
+    for s in range(1, n):
+        # rows: bins s..e; columns: previous bins j..s-1
+        d, ref = rate[s:, s, None], rate[None, s - 1, :s]
+        if tight:
+            allowed = d >= ref + beta if up else d <= ref - beta
+        else:
+            allowed = solver._follows(ref, d, up, beta)
+        if masks is not None:
+            allowed &= ~masks[s].T
+        best[s:, s] += np.where(allowed, best[None, s - 1, :s], -np.inf) \
+            .max(axis=1)
+    top = best[n - 1, 1:].max()
+    return None if top == -np.inf else float(top)
+
+
+def _trended_agg(rng, kind: str, n: int, up: bool):
+    """A binary or continuous aggregate set whose pre-bin rates drift up
+    (``up``) or down through noise, so that a monotone fit keeps many bins."""
+    drift = np.linspace(0.0, 1.0, n)[::1 if up else -1]
+    count = rng.integers(5, 60, n)
+    if kind == "binary":
+        event = rng.binomial(count, 0.2 + 0.5 * drift)
+        return binary_agg(np.maximum(count - event, 1), np.maximum(event, 1))
+    return continuous_agg(count, (20.0 * drift + rng.normal(size=n)) * count)
+
+
+@pytest.mark.parametrize("n", [30, 60, 100, 200])
+def test_monotone_trends_lie_between_two_dps(n):
+    # binary IV with and without max_pvalue 0.05, and continuous p = 2,
+    # each ascending and descending, with the 5% floor and min_bins 2
+    rng = np.random.default_rng(4000 + n)
+    for kind, level in (("binary", None), ("binary", 0.05),
+                        ("continuous", None)):
+        for trend in ("ascending", "descending"):
+            agg = _trended_agg(rng, kind, n, trend == "ascending")
+            cfg = BinningConfig(
+                min_bins=2, trend=TrendSpec(trend), max_pvalue=level,
+                min_bin_size=math.ceil(0.05 * agg.n_records))
+            sol = solve(agg, cfg)
+            tight = _monotone_dp(agg, cfg, tight=True)
+            loose = _monotone_dp(agg, cfg, tight=False)
+            label = (kind, level, trend)
+            if not sol.is_feasible:
+                assert tight is None, label
+                continue
+            got = _gain(agg, sol.objective)
+            assert tight is None or tight <= got, label
+            assert loose is not None and got <= loose, label
+            if tight == loose:
+                assert got == tight, label
 
 
 # --------------------------------------------------------------------------- #
